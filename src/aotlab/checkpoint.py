@@ -8,7 +8,8 @@ Layout (little-endian):
 
 Each block: name length u16 + UTF-8 | rank u8 + extents u32[] |
 dtype u8 (0 = f32, 1 = f64) | payload row-major.  The trailing CRC32 covers
-every byte between the magic and the checksum itself.
+every byte between the magic and the checksum itself and is checked before
+parsing.  Shared parts, the atomic write among them, are in ``container``.
 """
 
 from __future__ import annotations
@@ -16,17 +17,16 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-import zlib
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
+from .container import (Reader, check_crc, crc32, encode_array, to_array,
+                        write_atomic)
 from .errors import FormatError
 
 AOTC_MAGIC = b"AOTC"
 AOTC_VERSION = 1
-_DTYPE_BY_CODE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_CODE_BY_DTYPE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 
 def config_hash(cfg) -> int:
@@ -48,106 +48,58 @@ class Checkpoint:
     rng_state: dict
 
 
-def _encode_blocks(blocks: dict) -> bytes:
+def _encode_blocks(blocks: dict) -> list:
     parts = [struct.pack("<I", len(blocks))]
     for name, arr in blocks.items():
         arr = np.asarray(arr)
-        code = _CODE_BY_DTYPE.get(np.dtype(arr.dtype))
-        if code is None:
-            raise FormatError(f"block {name!r} has unsupported dtype {arr.dtype}")
+        code, payload = encode_array(arr, f"block {name!r}")
         name_bytes = name.encode("utf-8")
         if len(name_bytes) > 0xFFFF:
             raise FormatError(f"block name too long: {name!r}")
         if arr.ndim > 0xFF:
             raise FormatError(f"block {name!r} rank {arr.ndim} too large")
-        parts.append(struct.pack("<H", len(name_bytes)))
-        parts.append(name_bytes)
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(struct.pack("<B", code))
-        parts.append(np.ascontiguousarray(arr, dtype=_DTYPE_BY_CODE[code]).tobytes())
-    return b"".join(parts)
+        parts += [struct.pack("<H", len(name_bytes)), name_bytes,
+                  struct.pack(f"<B{arr.ndim}IB", arr.ndim, *arr.shape, code),
+                  payload]
+    return parts
 
 
-def _take(buf: bytes, offset: int, count: int, what: str) -> tuple[bytes, int]:
-    if offset + count > len(buf):
-        raise FormatError(f"truncated checkpoint: {what} missing")
-    return buf[offset:offset + count], offset + count
-
-
-def _decode_blocks(buf: bytes, offset: int) -> tuple[dict, int]:
-    raw, offset = _take(buf, offset, 4, "block count")
-    count = struct.unpack("<I", raw)[0]
+def _decode_blocks(r: Reader) -> dict:
     blocks = {}
-    for _ in range(count):
-        raw, offset = _take(buf, offset, 2, "block name length")
-        name_len = struct.unpack("<H", raw)[0]
-        raw, offset = _take(buf, offset, name_len, "block name")
-        name = raw.decode("utf-8")
-        raw, offset = _take(buf, offset, 1, "block rank")
-        rank = raw[0]
-        raw, offset = _take(buf, offset, 4 * rank, "block extents")
-        shape = struct.unpack(f"<{rank}I", raw)
-        raw, offset = _take(buf, offset, 1, "block dtype")
-        dtype = _DTYPE_BY_CODE.get(raw[0])
-        if dtype is None:
-            raise FormatError(f"block {name!r}: unknown dtype code {raw[0]}")
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        raw, offset = _take(buf, offset, n_bytes, f"block {name!r} payload")
+    for _ in range(r.unpack("I", "block count")[0]):
+        name = r.text("block name")
+        (rank,) = r.unpack("B", "block rank")
+        shape = r.unpack(f"{rank}I", "block extents")
+        raw, dtype = r.payload(shape, f"block {name!r}")
         if name in blocks:
             raise FormatError(f"duplicate block name {name!r}")
-        blocks[name] = (np.frombuffer(raw, dtype=dtype).reshape(shape)
-                        .astype(dtype.newbyteorder("=")))
-    return blocks, offset
+        blocks[name] = to_array(raw, shape, dtype)
+    return blocks
 
 
 def save_checkpoint(path: str, cfg_hash: int, step: int, tensors: dict,
                     opt_tensors: dict, rng_state: dict) -> None:
-    body = [struct.pack("<I", AOTC_VERSION),
-            struct.pack("<Q", cfg_hash),
-            struct.pack("<Q", step),
-            _encode_blocks(tensors),
-            _encode_blocks(opt_tensors)]
     rng_bytes = json.dumps(rng_state, sort_keys=True).encode("utf-8")
-    body.append(struct.pack("<I", len(rng_bytes)))
-    body.append(rng_bytes)
-    payload = b"".join(body)
-    with open(path, "wb") as fh:
-        fh.write(AOTC_MAGIC)
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+    body = [struct.pack("<IQQ", AOTC_VERSION, cfg_hash, step),
+            *_encode_blocks(tensors), *_encode_blocks(opt_tensors),
+            struct.pack("<I", len(rng_bytes)), rng_bytes]
+    write_atomic(path, [AOTC_MAGIC, *body, struct.pack("<I", crc32(*body))])
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    raw, offset = _take(buf, 0, 4, "magic")
-    if raw != AOTC_MAGIC:
-        raise FormatError(f"bad magic {raw!r}")
-    if len(buf) < offset + 4:
-        raise FormatError("truncated checkpoint: checksum missing")
-    crc_stored = struct.unpack("<I", buf[-4:])[0]
-    crc = zlib.crc32(buf[4:-4]) & 0xFFFFFFFF
-    if crc != crc_stored:
-        raise FormatError(f"checkpoint CRC mismatch: stored {crc_stored:#x}, "
-                          f"computed {crc:#x}")
-    raw, offset = _take(buf, offset, 4, "version")
-    version = struct.unpack("<I", raw)[0]
-    if version != AOTC_VERSION:
-        raise FormatError(f"unsupported version {version}")
-    raw, offset = _take(buf, offset, 8, "config hash")
-    cfg_hash = struct.unpack("<Q", raw)[0]
-    raw, offset = _take(buf, offset, 8, "step")
-    step = struct.unpack("<Q", raw)[0]
-    tensors, offset = _decode_blocks(buf, offset)
-    opt_tensors, offset = _decode_blocks(buf, offset)
-    raw, offset = _take(buf, offset, 4, "rng length")
-    rng_len = struct.unpack("<I", raw)[0]
-    raw, offset = _take(buf, offset, rng_len, "rng state")
+        r = Reader(fh.read(), "checkpoint")
+    r.expect("4s", AOTC_MAGIC, "magic")
+    (crc_stored,) = struct.unpack("<I", r.take_last(4, "checksum"))
+    check_crc(r.rest(), crc_stored, "checkpoint")
+    r.expect("I", AOTC_VERSION, "version")
+    cfg_hash, step = r.unpack("QQ", "config hash and step")
+    tensors = _decode_blocks(r)
+    opt_tensors = _decode_blocks(r)
+    rng_text = r.text("rng state", "I")
     try:
-        rng_state = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        rng_state = json.loads(rng_text)
+    except ValueError as err:
         raise FormatError(f"bad rng state: {err}") from err
-    if offset != len(buf) - 4:
-        raise FormatError(f"{len(buf) - 4 - offset} trailing bytes before checksum")
+    r.finish("before checksum")
     return Checkpoint(cfg_hash, step, tensors, opt_tensors, rng_state)

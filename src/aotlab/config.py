@@ -83,16 +83,14 @@ class RunConfig:
             sinkhorn_iters=self.sinkhorn_iters, gate_init=self.gate_init,
             groups=self.groups, activation=self.activation)
 
-    def train_config(self, freeze_transform: bool = False,
-                     freeze_backbone: bool = False) -> TrainConfig:
+    def train_config(self, freeze_backbone: bool = False) -> TrainConfig:
         return TrainConfig(
             epochs=self.epochs, steps_per_epoch=self.steps_per_epoch,
             batch=self.batch, peak_lr=self.peak_lr,
             warmup_epochs=self.warmup_epochs,
             weight_decay=self.weight_decay, betas=(self.beta1, self.beta2),
             eps=self.eps, noise=self.noise, clip_norm=self.clip_norm,
-            seed=self.seed, freeze_transform=freeze_transform,
-            freeze_backbone=freeze_backbone)
+            seed=self.seed, freeze_backbone=freeze_backbone)
 
     def family_list(self) -> list[str]:
         names = [f.strip() for f in self.families.split(",") if f.strip()]

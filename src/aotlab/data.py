@@ -6,26 +6,28 @@ steps.  Families with fewer channels than the corpus maximum are padded with
 the constant 1.0 along the trailing channel axis; padding never alters the
 original channels.
 
-On-disk container "AOTD" v1 (little-endian):
+On-disk container "AOTD" v1 (little-endian, shared parts in ``container``):
 
     magic "AOTD" | version u32 | label length u16 + UTF-8 bytes |
     H u32 | W u32 | T u32 | C u32 | dtype u8 (0 = f32, 1 = f64) |
     payload row-major in (t, h, w, c) order | CRC32 of payload (u32)
 
-A manifest is a plain-text file with one tab-separated line per trajectory:
-relative path, family label, sampling weight.
+The CRC does not cover the label; ``load_dataset`` checks it against the
+manifest, a plain-text file with one tab-separated line per trajectory:
+relative path, family label, sampling weight.  Both are written atomically.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .container import (Reader, check_crc, crc32, encode_array, to_array,
+                        write_atomic)
 from .errors import FormatError, NumericOverflowError, ShapeError
 from .solvers import (
     dr_ic,
@@ -41,8 +43,6 @@ PAD_VALUE = 1.0
 
 AOTD_MAGIC = b"AOTD"
 AOTD_VERSION = 1
-_DTYPE_BY_CODE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_CODE_BY_DTYPE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 # spawn-key namespaces for seed-stable generation and splitting
 _STREAM_TRAJ = 0
@@ -60,77 +60,39 @@ def save_trajectory(path: str, traj: np.ndarray, label: str) -> None:
         raise FormatError(f"trajectory must be 4-D (t, h, w, c), got {traj.shape}")
     if any(s < 1 for s in traj.shape):
         raise FormatError(f"trajectory has an empty axis: {traj.shape}")
-    code = _CODE_BY_DTYPE.get(np.dtype(traj.dtype))
-    if code is None:
-        raise FormatError(f"unsupported dtype {traj.dtype}; use float32 or float64")
+    code, payload = encode_array(traj, "trajectory")
     label_bytes = label.encode("utf-8")
     if len(label_bytes) > 0xFFFF:
         raise FormatError("label too long")
     t, h, w, c = traj.shape
-    payload = np.ascontiguousarray(traj, dtype=_DTYPE_BY_CODE[code]).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(AOTD_MAGIC)
-        fh.write(struct.pack("<I", AOTD_VERSION))
-        fh.write(struct.pack("<H", len(label_bytes)))
-        fh.write(label_bytes)
-        fh.write(struct.pack("<IIIIB", h, w, t, c, code))
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+    head = struct.pack("<4sIH", AOTD_MAGIC, AOTD_VERSION, len(label_bytes))
+    write_atomic(path, [head, label_bytes, struct.pack("<IIIIB", h, w, t, c, code),
+                        payload, struct.pack("<I", crc32(payload))])
 
 
-def _take(buf: bytes, offset: int, count: int, what: str) -> tuple[bytes, int]:
-    if offset + count > len(buf):
-        raise FormatError(f"truncated file: {what} missing")
-    return buf[offset:offset + count], offset + count
-
-
-def _parse_aotd(buf: bytes):
-    raw, off = _take(buf, 0, 4, "magic")
-    if raw != AOTD_MAGIC:
-        raise FormatError(f"bad magic {raw!r}")
-    raw, off = _take(buf, off, 4, "version")
-    version = struct.unpack("<I", raw)[0]
-    if version != AOTD_VERSION:
-        raise FormatError(f"unsupported version {version}")
-    raw, off = _take(buf, off, 2, "label length")
-    label_len = struct.unpack("<H", raw)[0]
-    raw, off = _take(buf, off, label_len, "label")
-    try:
-        label = raw.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise FormatError(f"label is not valid UTF-8: {err}") from err
-    raw, off = _take(buf, off, 17, "shape header")
-    h, w, t, c, code = struct.unpack("<IIIIB", raw)
-    dtype = _DTYPE_BY_CODE.get(code)
-    if dtype is None:
-        raise FormatError(f"unknown dtype code {code}")
-    n_bytes = t * h * w * c * dtype.itemsize
-    payload, off = _take(buf, off, n_bytes, "payload")
-    raw, off = _take(buf, off, 4, "checksum")
-    crc_stored = struct.unpack("<I", raw)[0]
-    if off != len(buf):
-        raise FormatError(f"{len(buf) - off} trailing bytes after checksum")
+def _parse_aotd(path: str):
+    with open(path, "rb") as fh:
+        r = Reader(fh.read(), "file")
+    r.expect("4s", AOTD_MAGIC, "magic")
+    r.expect("I", AOTD_VERSION, "version")
+    label = r.text("label")
+    h, w, t, c = r.unpack("IIII", "shape header")
+    payload, dtype = r.payload((t, h, w, c), "payload")
+    (crc_stored,) = r.unpack("I", "checksum")
+    r.finish("after checksum")
     return label, (t, h, w, c), dtype, payload, crc_stored
 
 
 def load_trajectory(path: str) -> tuple[np.ndarray, str]:
     """Read an AOTD v1 file, verifying structure and payload CRC32."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    label, shape, dtype, payload, crc_stored = _parse_aotd(buf)
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    if crc != crc_stored:
-        raise FormatError(f"payload CRC mismatch: stored {crc_stored:#x}, "
-                          f"computed {crc:#x}")
-    traj = np.frombuffer(payload, dtype=dtype).reshape(shape)
-    return traj.astype(dtype.newbyteorder("=")), label
+    label, shape, dtype, payload, crc_stored = _parse_aotd(path)
+    check_crc(payload, crc_stored, "payload")
+    return to_array(payload, shape, dtype), label
 
 
 def trajectory_crc(path: str) -> int:
     """Return the stored payload CRC32 after validating the container."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    return _parse_aotd(buf)[4]
+    return _parse_aotd(path)[4]
 
 
 # ---------------------------------------------------------------------
@@ -403,9 +365,8 @@ def sample_batch(ds: TrajectoryDataset, plan: SamplingPlan, batch: int,
 # ---------------------------------------------------------------------
 
 def write_manifest(path: str, entries: list[tuple[str, str, float]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rel, family, weight in entries:
-            fh.write(f"{rel}\t{family}\t{weight!r}\n")
+    write_atomic(path, [f"{rel}\t{family}\t{weight!r}\n".encode("utf-8")
+                        for rel, family, weight in entries])
 
 
 def read_manifest(path: str) -> list[tuple[str, str, float]]:

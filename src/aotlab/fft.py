@@ -63,12 +63,6 @@ def fft1_array(x: np.ndarray) -> np.ndarray:
     return _fft_last_axis(np.asarray(x), sign=-1)
 
 
-def ifft1_array(x: np.ndarray) -> np.ndarray:
-    """Normalized inverse FFT along the last axis (numpy in/out)."""
-    x = np.asarray(x)
-    return _fft_last_axis(x, sign=+1) / x.shape[-1]
-
-
 def fft2_array(x: np.ndarray) -> np.ndarray:
     """Unnormalized forward FFT over the last two axes (numpy in/out)."""
     x = np.asarray(x)

@@ -44,38 +44,36 @@ class DoublyStochastic:
         return self.matrix.shape[-1]
 
 
-def _check_square(raw_shape: tuple) -> None:
-    if len(raw_shape) < 2 or raw_shape[-1] != raw_shape[-2]:
-        raise ShapeError(f"sinkhorn needs square matrices, got shape {raw_shape}")
+def _check_input(data: np.ndarray, iters: int) -> None:
+    if data.ndim < 2 or data.shape[-1] != data.shape[-2]:
+        raise ShapeError(f"sinkhorn needs square matrices, got shape {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("sinkhorn input must be finite")
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
+
+
+def _sweeps(m, iters: int):
+    """Yield ``m``, an ndarray or a Tensor, after each row-then-column sweep."""
+    for _ in range(iters):
+        m = m / m.sum(axis=-1, keepdims=True)
+        m = m / m.sum(axis=-2, keepdims=True)
+        yield m
 
 
 def sinkhorn_array(raw: np.ndarray, iters: int = 20) -> np.ndarray:
     """Numpy-only projection of (..., n, n) raw matrices; column-last order."""
     raw = np.asarray(raw, dtype=np.result_type(raw, np.float64))
-    _check_square(raw.shape)
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("sinkhorn input must be finite")
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    m = np.exp(raw)
-    for _ in range(iters):
-        m = m / m.sum(axis=-1, keepdims=True)
-        m = m / m.sum(axis=-2, keepdims=True)
+    _check_input(raw, iters)
+    *_, m = _sweeps(np.exp(raw), iters)
     return m
 
 
 def sinkhorn_tensor(raw: Tensor, iters: int = 20) -> Tensor:
     """Tape-differentiable projection of (..., n, n) raw matrices."""
     raw = ad.as_tensor(raw)
-    _check_square(raw.shape)
-    if not np.all(np.isfinite(raw.data)):
-        raise ValueError("sinkhorn input must be finite")
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    m = ad.exp(raw)
-    for _ in range(iters):
-        m = m / ad.tsum(m, axis=-1, keepdims=True)
-        m = m / ad.tsum(m, axis=-2, keepdims=True)
+    _check_input(raw.data, iters)
+    *_, m = _sweeps(ad.exp(raw), iters)
     return m
 
 
@@ -101,14 +99,8 @@ def sinkhorn_project(raw, iters: int = 20, differentiable: bool = False) -> Doub
 def sinkhorn_residual_trace(raw: np.ndarray, iters: int = 20) -> np.ndarray:
     """Residual after each full sweep, shape (iters,), batched over raw."""
     raw = np.asarray(raw, dtype=np.result_type(raw, np.float64))
-    _check_square(raw.shape)
-    m = np.exp(raw)
-    out = np.empty(iters)
-    for k in range(iters):
-        m = m / m.sum(axis=-1, keepdims=True)
-        m = m / m.sum(axis=-2, keepdims=True)
-        out[k] = ds_residual(m)
-    return out
+    _check_input(raw, iters)
+    return np.array([ds_residual(m) for m in _sweeps(np.exp(raw), iters)])
 
 
 def ds_compose(chain: list) -> DoublyStochastic:

@@ -48,7 +48,6 @@ class TrainConfig:
     noise: float = 5e-4
     clip_norm: float | None = 1.0
     seed: int = 0
-    freeze_transform: bool = False
     freeze_backbone: bool = False
 
     def __post_init__(self):
@@ -112,10 +111,23 @@ def one_cycle_lr(step: int, total: int, warmup_frac: float, peak: float) -> floa
     return peak * 0.5 * (1.0 + math.cos(math.pi * (step - warm) / (total - warm)))
 
 
+def _check_finite(grads: dict) -> None:
+    """Raise NumericOverflowError naming the first non-finite gradient."""
+    for name, g in grads.items():
+        if g is not None and not np.all(np.isfinite(g)):
+            raise NumericOverflowError(
+                f"non-finite gradient for parameter {name}", where=name)
+
+
 def clip_gradients(grads: dict, max_norm: float) -> tuple[dict, float]:
-    """Scale all gradients jointly so the global L2 norm is at most max_norm."""
+    """Scale all gradients jointly so the global L2 norm is at most max_norm.
+
+    A non-finite gradient raises before anything is scaled, naming it.
+    """
     total_sq = sum(float(np.sum(g.astype(np.float64) ** 2))
                    for g in grads.values())
+    if not math.isfinite(total_sq):
+        _check_finite(grads)
     total = math.sqrt(total_sq)
     if total <= max_norm or total == 0.0:
         return grads, total
@@ -137,15 +149,14 @@ class AdamW:
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
     def step(self, grads: dict, lr: float) -> None:
+        """Apply one update; a non-finite gradient raises before any change."""
+        _check_finite({name: grads.get(name) for name in self.params})
         self.t += 1
         b1, b2 = self.betas
         for name, p in self.params.items():
             g = grads.get(name)
             if g is None:
                 g = np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                raise NumericOverflowError(
-                    f"non-finite gradient for parameter {name}", where=name)
             m, v = self.m[name], self.v[name]
             m *= b1
             m += (1.0 - b1) * g
@@ -222,8 +233,14 @@ def restore_training_checkpoint(path: str, model, opt: AdamW,
     ckpt = load_checkpoint(path)
     _assign_model_tensors(model, ckpt)
     opt.load_state_blocks(ckpt.opt_tensors, ckpt.step)
-    data_rng.bit_generator.state = ckpt.rng_state["data"]
-    noise_rng.bit_generator.state = ckpt.rng_state["noise"]
+    for key, rng in (("data", data_rng), ("noise", noise_rng)):
+        if not isinstance(ckpt.rng_state, dict) or key not in ckpt.rng_state:
+            raise FormatError(f"checkpoint rng state lacks {key!r}")
+        try:
+            rng.bit_generator.state = ckpt.rng_state[key]
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
+            raise FormatError(f"checkpoint rng state {key!r} is invalid: "
+                              f"{err!r}") from err
     return ckpt.step
 
 
@@ -300,9 +317,6 @@ class TrainResult:
 
 def _trainable_subset(model, cfg: TrainConfig) -> dict:
     params = model.trainable_tensors()
-    if cfg.freeze_transform:
-        params = {k: t for k, t in params.items()
-                  if not k.startswith(TRANSFORM_PREFIX)}
     if cfg.freeze_backbone:
         params = {k: t for k, t in params.items()
                   if k.startswith(TRANSFORM_PREFIX)}

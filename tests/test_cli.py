@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from aotlab.autodiff import Tensor
+from aotlab.checkpoint import load_checkpoint, save_checkpoint
 from aotlab.cli import main
 from aotlab.config import RunConfig, resolve_config
 from aotlab.data import load_trajectory, trajectory_crc
@@ -204,6 +205,19 @@ def test_config_echo_refeeds_to_identical_eval(tiny_ini, trained, tmp_path):
                "--checkpoint", trained / "checkpoint.aotc") == 0
     assert ((first / "eval.csv").read_text()
             == (second / "eval.csv").read_text())
+
+
+@pytest.mark.parametrize("keep,missing", [(("data",), "noise"), ((), "data")])
+def test_resume_with_incomplete_rng_state_exits_two(tiny_ini, trained, tmp_path,
+                                                    capsys, keep, missing):
+    ck = load_checkpoint(str(trained / "checkpoint.aotc"))
+    bad = str(tmp_path / "bad.aotc")
+    save_checkpoint(bad, ck.config_hash, ck.step, ck.tensors, ck.opt_tensors,
+                    {k: ck.rng_state[k] for k in keep})
+    code = run("--config", tiny_ini, "--seed", 5, "--out", tmp_path / "o",
+               "train", "--resume", bad)
+    assert code == 2
+    assert f"rng state lacks {missing!r}" in capsys.readouterr().err
 
 
 def test_train_blowup_exits_three(tiny_ini, tmp_path):

@@ -253,6 +253,35 @@ def test_adamw_nan_gradient_names_parameter():
     assert err.value.where == "blocks.0.mix.phi_t"
 
 
+def nan_in_second_parameter():
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    grads = {"a": np.ones(3), "b": np.array([1.0, np.nan, 1.0])}
+    return AdamW({"a": a, "b": b}), a, grads
+
+
+def test_adamw_nan_gradient_leaves_step_unapplied():
+    opt, a, grads = nan_in_second_parameter()
+    with pytest.raises(NumericOverflowError) as err:
+        opt.step(grads, lr=0.01)
+    assert err.value.where == "b"
+    np.testing.assert_array_equal(a.data, np.ones(3))
+    np.testing.assert_array_equal(opt.m["a"], np.zeros(3))
+    np.testing.assert_array_equal(opt.v["a"], np.zeros(3))
+    assert opt.t == 0
+
+
+def test_clipped_nan_gradient_names_the_culprit():
+    opt, a, grads = nan_in_second_parameter()
+    with pytest.raises(NumericOverflowError) as err:
+        clipped, _ = clip_gradients(grads, 1.0)
+        opt.step(clipped, lr=0.01)
+    assert err.value.where == "b"
+    assert "parameter b" in str(err.value)
+    np.testing.assert_array_equal(a.data, np.ones(3))
+    assert opt.t == 0
+
+
 def test_adamw_f32_moments_stay_f32():
     p = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     opt = AdamW({"p": p})
@@ -374,6 +403,25 @@ def test_train_resume_bit_identical(tmp_path, heat_corpus):
                                   sorted(model_c.named_tensors().items())):
         assert ka == kc
         np.testing.assert_array_equal(ta.data, tc.data)
+
+
+@pytest.mark.parametrize("state,match", [
+    ({"noise": None}, "lacks 'data'"),
+    (["data", "noise"], "lacks 'data'"),
+    ({"data": None, "noise": None}, "'data' is invalid"),
+    ({"data": {"bit_generator": "PCG64"}, "noise": None}, "'data' is invalid"),
+    ({"data": {"bit_generator": "MT19937"}}, "'data' is invalid"),
+])
+def test_restore_rejects_malformed_rng_state(tmp_path, state, match):
+    model = tiny_model()
+    opt = AdamW(model.trainable_tensors())
+    path = str(tmp_path / "c.aotc")
+    save_checkpoint(path, config_hash(model.cfg), 0,
+                    {k: t.data for k, t in model.named_tensors().items()},
+                    opt.state_blocks(), state)
+    with pytest.raises(FormatError, match=match):
+        restore_training_checkpoint(path, model, opt, named_stream(0, 0),
+                                    named_stream(0, 2))
 
 
 def test_train_resume_rejects_other_config(tmp_path, heat_corpus):
