@@ -1,13 +1,14 @@
 """Command-line entry point tying data generation, training, and reports.
 
 Subcommands: gen-data, train, eval, rollout, gain, probe, transform-exp.
-Global flags: --config PATH, --seed N, --out DIR, --threads N.  Exit codes:
-0 success, 1 usage error, 2 runtime error, 3 numeric blow-up.
+Global flags: --config PATH, --seed N, --out DIR, --threads N (used by
+gen-data only).  Exit codes: 0 success, 1 usage error, 2 runtime error, 3
+numeric blow-up.
 
 Every command resolves a RunConfig (defaults < config file < flags), echoes
 it to ``<out>/config.ini``, writes its report files into the output
 directory, and prints a short plain-text summary that is also saved as
-``<out>/summary.txt``.
+``<out>/summary.txt``.  Every file is written atomically, text as UTF-8.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, resolve_config, write_config
+from .container import write_lines
 from .data import (
     SamplingPlan,
     build_dataset,
@@ -72,10 +74,8 @@ def _prepare_out(cfg: RunConfig) -> None:
 
 
 def _summary(cfg: RunConfig, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    with open(os.path.join(cfg.out, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
-    sys.stdout.write(text)
+    write_lines(os.path.join(cfg.out, "summary.txt"), lines)
+    print("\n".join(lines))
 
 
 def _fresh_model(cfg: RunConfig, dtype_name: str, mode: str) -> Model:
@@ -152,10 +152,8 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> None:
     model = _loaded_model(cfg, args)
     scores = validate(model, ds)
     path = os.path.join(cfg.out, "eval.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("family,l2re\n")
-        for fam in ds.families:
-            fh.write(f"{fam},{scores[fam]!r}\n")
+    write_lines(path, ["family,l2re"]
+                + [f"{fam},{scores[fam]!r}" for fam in ds.families])
     lines = [f"eval over {len(ds)} trajectories:"]
     lines += [f"  {fam} L2RE: {scores[fam]:.6g}" for fam in ds.families]
     lines.append(f"report: {path}")
@@ -189,10 +187,8 @@ def cmd_rollout(cfg: RunConfig, args: argparse.Namespace) -> None:
     save_trajectory(aotd_path, res.frames[..., :nc].astype(np.float32),
                     args.family)
     csv_path = os.path.join(cfg.out, "rollout.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("step,l2re\n")
-        for s, err in enumerate(errors):
-            fh.write(f"{s},{err!r}\n")
+    write_lines(csv_path, ["step,l2re"]
+                + [f"{s},{err!r}" for s, err in enumerate(errors)])
     lines = [f"rollout {args.family}[{args.index}] for {steps} steps"]
     if res.blowup_step is not None:
         lines.append(f"  numeric blow-up at step {res.blowup_step}; "
@@ -266,10 +262,8 @@ def cmd_transform_exp(cfg: RunConfig, args: argparse.Namespace) -> None:
                                    out_dir=run_dir, **kwargs)
         finals[mode] = result.metrics[-1]["train_loss"]
     cmp_path = os.path.join(cfg.out, "transform_comparison.csv")
-    with open(cmp_path, "w", encoding="utf-8") as fh:
-        fh.write("mode,final_train_loss\n")
-        for mode in TRANSFORM_MODES:
-            fh.write(f"{mode},{finals[mode]!r}\n")
+    write_lines(cmp_path, ["mode,final_train_loss"]
+                + [f"{mode},{finals[mode]!r}" for mode in TRANSFORM_MODES])
     lines = [f"transform comparison on {primary}:"]
     lines += [f"  {mode}: final train loss {finals[mode]:.6g}"
               for mode in TRANSFORM_MODES]
@@ -313,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="config file ([section] key = value)")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--threads", type=int, help="worker thread count")
+    parser.add_argument("--threads", type=int,
+                        help="worker thread count (gen-data only)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate the trajectory corpus")

@@ -18,6 +18,7 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
+from .container import write_lines
 from .data import FAMILIES
 from .errors import UsageError
 from .model import ModelConfig
@@ -83,14 +84,14 @@ class RunConfig:
             sinkhorn_iters=self.sinkhorn_iters, gate_init=self.gate_init,
             groups=self.groups, activation=self.activation)
 
-    def train_config(self, freeze_backbone: bool = False) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
         return TrainConfig(
             epochs=self.epochs, steps_per_epoch=self.steps_per_epoch,
             batch=self.batch, peak_lr=self.peak_lr,
             warmup_epochs=self.warmup_epochs,
             weight_decay=self.weight_decay, betas=(self.beta1, self.beta2),
             eps=self.eps, noise=self.noise, clip_norm=self.clip_norm,
-            seed=self.seed, freeze_backbone=freeze_backbone)
+            seed=self.seed)
 
     def family_list(self) -> list[str]:
         names = [f.strip() for f in self.families.split(",") if f.strip()]
@@ -151,9 +152,9 @@ def load_config_file(path: str) -> dict[str, object]:
         raise UsageError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"malformed config file {path}: {exc}")
     overrides: dict[str, object] = {}
     for section in parser.sections():
@@ -199,5 +200,4 @@ def write_config(cfg: RunConfig, path: str) -> None:
         for key in keys:
             lines.append(f"{key} = {_format_value(getattr(cfg, key))}")
         lines.append("")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines))
+    write_lines(path, lines[:-1])  # a blank line between sections, none after

@@ -1,8 +1,9 @@
-"""What the AOTD and AOTC containers share.
+"""What the AOTD and AOTC containers share, and how every file reaches disk.
 
-Both are little-endian, open with a magic and a u32 version, tag arrays
-with a one-byte dtype code and carry a CRC32.  Each format keeps its own
-layout, including what its CRC covers.
+Both containers are little-endian, open with a magic and a u32 version, tag
+arrays with a one-byte dtype code and carry a CRC32.  Each format keeps its
+own layout, including what its CRC covers.  Every file aotlab writes, binary
+or text, goes through ``write_atomic``; text goes through ``write_lines``.
 """
 
 import math
@@ -61,6 +62,11 @@ def write_atomic(path: str, chunks) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_lines(path: str, lines) -> None:
+    """Write each line as UTF-8 ending in ``\\n``, atomically."""
+    write_atomic(path, (f"{line}\n".encode("utf-8") for line in lines))
 
 
 class Reader:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .container import (Reader, check_crc, crc32, encode_array, to_array,
-                        write_atomic)
+                        write_atomic, write_lines)
 from .errors import FormatError, NumericOverflowError, ShapeError
 from .solvers import (
     dr_ic,
@@ -365,27 +365,30 @@ def sample_batch(ds: TrajectoryDataset, plan: SamplingPlan, batch: int,
 # ---------------------------------------------------------------------
 
 def write_manifest(path: str, entries: list[tuple[str, str, float]]) -> None:
-    write_atomic(path, [f"{rel}\t{family}\t{weight!r}\n".encode("utf-8")
-                        for rel, family, weight in entries])
+    write_lines(path, [f"{rel}\t{family}\t{weight!r}"
+                       for rel, family, weight in entries])
 
 
 def read_manifest(path: str) -> list[tuple[str, str, float]]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path}: manifest is not valid UTF-8: {err}") from err
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 tab-separated "
-                                  f"fields, got {len(parts)}")
-            try:
-                weight = float(parts[2])
-            except ValueError as err:
-                raise FormatError(f"{path}:{lineno}: bad weight "
-                                  f"{parts[2]!r}") from err
-            entries.append((parts[0], parts[1], weight))
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FormatError(f"{path}:{lineno}: expected 3 tab-separated "
+                              f"fields, got {len(parts)}")
+        try:
+            weight = float(parts[2])
+        except ValueError as err:
+            raise FormatError(f"{path}:{lineno}: bad weight "
+                              f"{parts[2]!r}") from err
+        entries.append((parts[0], parts[1], weight))
     if not entries:
         raise FormatError(f"{path}: manifest is empty")
     return entries

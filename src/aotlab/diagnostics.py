@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
+from .container import write_lines
 from .data import TrajectoryDataset
 from .errors import NumericOverflowError, ShapeError
 
@@ -156,16 +157,16 @@ def gain_analysis(model, probe_inputs: np.ndarray) -> GainReport:
 
 
 def write_gain_csv(report: GainReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# composite product chains T_{L-1} @ ... @ T_l; later "
-                 "sub-layers multiply from the left\n")
-        fh.write("sublayer,forward_gain,backward_gain\n")
-        for l in range(report.n_sublayers):
-            fh.write(f"{l},{report.forward[l]!r},{report.backward[l]!r}\n")
-        fh.write("\nstart_index,composite_forward,composite_backward\n")
-        for l in range(report.n_sublayers):
-            fh.write(f"{l},{report.composite_forward[l]!r},"
-                     f"{report.composite_backward[l]!r}\n")
+    layers = range(report.n_sublayers)
+    write_lines(path, [
+        "# composite product chains T_{L-1} @ ... @ T_l; later "
+        "sub-layers multiply from the left",
+        "sublayer,forward_gain,backward_gain",
+        *(f"{l},{report.forward[l]!r},{report.backward[l]!r}" for l in layers),
+        "",
+        "start_index,composite_forward,composite_backward",
+        *(f"{l},{report.composite_forward[l]!r},{report.composite_backward[l]!r}"
+          for l in layers)])
 
 
 # ---------------------------------------------------------------------
@@ -239,7 +240,6 @@ def kernel_probe(model, ds: TrajectoryDataset) -> ProbeResult:
 
 def write_probe_features(path: str, features: np.ndarray, labels: list) -> None:
     d = features.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("label," + ",".join(f"f{i}" for i in range(d)) + "\n")
-        for lab, row in zip(labels, features):
-            fh.write(lab + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    write_lines(path, ["label," + ",".join(f"f{i}" for i in range(d))]
+                + [lab + "," + ",".join(repr(float(v)) for v in row)
+                   for lab, row in zip(labels, features)])

@@ -18,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .checkpoint import config_hash, load_checkpoint, save_checkpoint
+from .container import write_lines
 from .data import SamplingPlan, TrajectoryDataset, family_subset, sample_batch
 from .errors import FormatError, NumericOverflowError, ShapeError
 from .model import TRANSFORM_MODES, Model, ModelConfig
@@ -48,7 +49,6 @@ class TrainConfig:
     noise: float = 5e-4
     clip_norm: float | None = 1.0
     seed: int = 0
-    freeze_backbone: bool = False
 
     def __post_init__(self):
         if self.epochs < 1 or self.steps_per_epoch < 1 or self.batch < 1:
@@ -124,11 +124,17 @@ def clip_gradients(grads: dict, max_norm: float) -> tuple[dict, float]:
 
     A non-finite gradient raises before anything is scaled, naming it.
     """
-    total_sq = sum(float(np.sum(g.astype(np.float64) ** 2))
-                   for g in grads.values())
-    if not math.isfinite(total_sq):
+    with np.errstate(over="ignore"):
+        total_sq = sum(float(np.sum(g.astype(np.float64) ** 2))
+                       for g in grads.values())
+    if math.isfinite(total_sq):
+        total = math.sqrt(total_sq)
+    else:
         _check_finite(grads)
-    total = math.sqrt(total_sq)
+        # finite gradients whose squares overflow: rescale by the largest |g|
+        peak = max(float(np.max(np.abs(g), initial=0.0)) for g in grads.values())
+        total = peak * math.sqrt(sum(
+            float(np.sum((g.astype(np.float64) / peak) ** 2)) for g in grads.values()))
     if total <= max_norm or total == 0.0:
         return grads, total
     factor = max_norm / total
@@ -295,11 +301,9 @@ def validate(model, ds: TrajectoryDataset, window_stride: int = 5) -> dict:
 
 def write_metrics_csv(path: str, rows: list, families: list) -> None:
     cols = ["epoch", "step", "lr", "train_loss"] + [f"{f}_l2re" for f in families]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(row[c]) if isinstance(row[c], float)
-                              else str(row[c]) for c in cols) + "\n")
+    # str of a float is its shortest round-trip repr, also for np.float64
+    write_lines(path, [",".join(cols)]
+                + [",".join(str(row[c]) for c in cols) for row in rows])
 
 
 # ---------------------------------------------------------------------
@@ -315,16 +319,6 @@ class TrainResult:
     checkpoint_path: str | None = None
 
 
-def _trainable_subset(model, cfg: TrainConfig) -> dict:
-    params = model.trainable_tensors()
-    if cfg.freeze_backbone:
-        params = {k: t for k, t in params.items()
-                  if k.startswith(TRANSFORM_PREFIX)}
-    if not params:
-        raise ValueError("no trainable parameters left after mode flags")
-    return params
-
-
 def train(model, train_ds: TrajectoryDataset, plan: SamplingPlan,
           cfg: TrainConfig, test_ds: TrajectoryDataset | None = None,
           out_dir: str | None = None, checkpoint_every: int = 0,
@@ -335,7 +329,9 @@ def train(model, train_ds: TrajectoryDataset, plan: SamplingPlan,
     to out_dir/last_good.aotc (when out_dir is given) before the error
     propagates.
     """
-    params = _trainable_subset(model, cfg)
+    params = model.trainable_tensors()
+    if not params:
+        raise ValueError("model has no trainable parameters")
     opt = AdamW(params, cfg.betas, cfg.eps, cfg.weight_decay)
     data_rng = named_stream(cfg.seed, STREAM_DATA)
     noise_rng = named_stream(cfg.seed, STREAM_NOISE)
@@ -474,8 +470,6 @@ def cross_transfer(model_cfg: ModelConfig, ds: TrajectoryDataset,
 
 def write_cross_transfer_csv(path: str, families: list, matrix: dict) -> None:
     """Rows are transform-source families, columns are target families."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("source," + ",".join(families) + "\n")
-        for src in families:
-            cells = ",".join(repr(matrix[(src, dst)]) for dst in families)
-            fh.write(f"{src},{cells}\n")
+    write_lines(path, ["source," + ",".join(families)]
+                + [src + "," + ",".join(repr(matrix[(src, dst)]) for dst in families)
+                   for src in families])

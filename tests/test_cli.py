@@ -8,7 +8,7 @@ import pytest
 from aotlab.autodiff import Tensor
 from aotlab.checkpoint import load_checkpoint, save_checkpoint
 from aotlab.cli import main
-from aotlab.config import RunConfig, resolve_config
+from aotlab.config import RunConfig, resolve_config, write_config
 from aotlab.data import load_trajectory, trajectory_crc
 from aotlab.model import Model, ModelConfig
 from aotlab.train import STREAM_INIT, TrainConfig, named_stream
@@ -124,20 +124,28 @@ def test_flags_override_file_values(tiny_ini, tmp_path):
 
 
 @pytest.mark.parametrize("body", [
-    "[model]\nheight = tall\n",
-    "[model]\nwingspan = 3\n",
-    "[flight]\nheight = 8\n",
-    "height = 8\n",
+    b"[model]\nheight = tall\n",
+    b"[model]\nwingspan = 3\n",
+    b"[flight]\nheight = 8\n",
+    b"height = 8\n",
+    b"[data]\nroot = d\xffta\n",  # not UTF-8
 ])
 def test_malformed_config_is_usage_error(tmp_path, body):
     bad = tmp_path / "bad.ini"
-    bad.write_text(body)
+    bad.write_bytes(body)
     assert run("--config", bad, "--out", tmp_path / "o", "train") == 1
 
 
 def test_missing_config_file_is_usage_error(tmp_path):
     assert run("--config", tmp_path / "nope.ini", "--out", tmp_path,
                "train") == 1
+
+
+def test_config_echo_is_utf8_and_refeeds(tmp_path):
+    path = str(tmp_path / "config.ini")
+    write_config(RunConfig(root="données"), path)
+    assert "root = données\n".encode("utf-8") in open(path, "rb").read()
+    assert resolve_config(path).root == "données"
 
 
 def test_help_and_bad_subcommand_exit_codes(capsys):

@@ -15,8 +15,10 @@ from aotlab.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from aotlab.config import RunConfig, write_config
 from aotlab.data import load_trajectory, save_trajectory
 from aotlab.errors import FormatError
+from aotlab.train import write_metrics_csv
 
 
 def crc(raw: bytes) -> int:
@@ -176,3 +178,28 @@ def test_failed_trajectory_write_leaves_no_temp_file(tmp_path, monkeypatch):
         save_trajectory(path, np.ones((1, 2, 2, 1), dtype=np.float32), "x")
     assert open(path, "rb").read() == first
     assert os.listdir(tmp_path) == ["t.aotd"]
+
+
+def metrics_rows(epochs: int) -> list:
+    return [{"epoch": e, "step": 5 * (e + 1), "lr": 1e-3, "train_loss": 0.5}
+            for e in range(epochs)]
+
+
+@pytest.mark.parametrize("name, write", [
+    ("metrics.csv", lambda path, n: write_metrics_csv(path, metrics_rows(n), [])),
+    ("config.ini", lambda path, n: write_config(RunConfig(seed=n), path)),
+], ids=["metrics.csv", "config.ini"])
+def test_failed_report_replace_keeps_previous_file(tmp_path, monkeypatch,
+                                                   name, write):
+    path = str(tmp_path / name)
+    write(path, 1)
+    first = open(path, "rb").read()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write(path, 2)
+    assert open(path, "rb").read() == first
+    assert os.listdir(tmp_path) == [name]

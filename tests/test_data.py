@@ -364,6 +364,9 @@ def test_manifest_malformed_lines(tmp_path):
     open(path, "w").write("\n")
     with pytest.raises(FormatError, match="empty"):
         read_manifest(path)
+    open(path, "wb").write(b"a\xff\tb\t1.0\n")
+    with pytest.raises(FormatError, match="m.tsv.*UTF-8"):
+        read_manifest(path)
 
 
 def test_dataset_directory_round_trip(tmp_path):

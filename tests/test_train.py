@@ -189,6 +189,12 @@ def test_clip_preserves_dtype_and_zero():
     assert clip_gradients(big, 1.0)[0]["a"].dtype == np.float32
 
 
+def test_clip_finite_gradients_whose_squares_overflow():
+    out, norm = clip_gradients({"a": np.array([1e200, 1.0])}, 1.0)
+    np.testing.assert_allclose(norm, 1e200, rtol=1e-12)
+    np.testing.assert_allclose(out["a"], [1.0, 1e-200], rtol=1e-12)
+
+
 # ---------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------
@@ -453,20 +459,6 @@ def test_frozen_transform_is_bit_frozen(tmp_path, heat_corpus):
     train(frozen, train_ds, plan, cfg)
     for k, arr in before.items():
         np.testing.assert_array_equal(frozen.named_tensors()[k].data, arr)
-
-
-def test_freeze_backbone_trains_only_transform(heat_corpus):
-    train_ds, _, plan = heat_corpus
-    model = tiny_model(seed=8, mode="learned")
-    before = {k: t.data.copy() for k, t in model.named_tensors().items()}
-    cfg = TrainConfig(epochs=1, steps_per_epoch=5, batch=2, warmup_epochs=0,
-                      seed=8, freeze_backbone=True)
-    train(model, train_ds, plan, cfg)
-    for k, t in model.named_tensors().items():
-        if k.startswith("transform."):
-            assert not np.array_equal(t.data, before[k]), k
-        else:
-            np.testing.assert_array_equal(t.data, before[k])
 
 
 def test_blowup_aborts_and_keeps_last_good(tmp_path, heat_corpus):
