@@ -388,10 +388,10 @@ def gelu(a) -> Tensor:
     a = as_tensor(a)
     _require_real(a, "gelu")
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     value = 0.5 * x * (1.0 + t)
-    deriv = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
+    deriv = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
     return _unary(a, value, deriv)
 
 

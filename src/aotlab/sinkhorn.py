@@ -6,9 +6,14 @@ The sweep order is pinned: row normalization first, column normalization
 last, so after any whole number of sweeps the column sums are exact to
 floating point and the row sums carry the residual.
 
-``sinkhorn_tensor`` is built entirely from tape primitives, so gradients
-with respect to the raw matrix come from the tape; no custom backward rule
-is needed.
+``sinkhorn_tensor`` is one fused tape node.  Its forward runs the same
+numpy sweeps as ``sinkhorn_array`` and keeps each sweep's row and column
+sums and normalized matrices.  Its backward replays, in reverse, exactly
+the numpy operations the tape would run for the unrolled graph of ``exp``,
+``sum`` and ``div`` nodes, including the order in which the two
+contributions to each sweep's input are added.  Values and gradients are
+therefore bit-identical to the op-by-op tape, while a projection costs one
+node instead of 1 + 4 * iters.
 """
 
 from __future__ import annotations
@@ -53,28 +58,56 @@ def _check_input(data: np.ndarray, iters: int) -> None:
         raise ValueError(f"iters must be >= 1, got {iters}")
 
 
-def _sweeps(m, iters: int):
-    """Yield ``m``, an ndarray or a Tensor, after each row-then-column sweep."""
+def _sweeps(m: np.ndarray, iters: int):
+    """Yield ``(row_sums, row_normalized, col_sums, m)`` for each
+    row-then-column sweep, ``m`` being the matrix after the sweep."""
     for _ in range(iters):
-        m = m / m.sum(axis=-1, keepdims=True)
-        m = m / m.sum(axis=-2, keepdims=True)
-        yield m
+        rows = m.sum(axis=-1, keepdims=True)
+        m_rows = m / rows
+        cols = m_rows.sum(axis=-2, keepdims=True)
+        m = m_rows / cols
+        yield rows, m_rows, cols, m
+
+
+def _project(e: np.ndarray, iters: int) -> np.ndarray:
+    for *_, m in _sweeps(e, iters):
+        pass
+    return m
 
 
 def sinkhorn_array(raw: np.ndarray, iters: int = 20) -> np.ndarray:
     """Numpy-only projection of (..., n, n) raw matrices; column-last order."""
     raw = np.asarray(raw, dtype=np.result_type(raw, np.float64))
     _check_input(raw, iters)
-    *_, m = _sweeps(np.exp(raw), iters)
-    return m
+    return _project(np.exp(raw), iters)
 
 
 def sinkhorn_tensor(raw: Tensor, iters: int = 20) -> Tensor:
-    """Tape-differentiable projection of (..., n, n) raw matrices."""
+    """Tape-differentiable projection of (..., n, n) raw matrices, recorded
+    as a single node (see the module docstring)."""
     raw = ad.as_tensor(raw)
     _check_input(raw.data, iters)
-    *_, m = _sweeps(ad.exp(raw), iters)
-    return m
+    ad._require_real(raw, "sinkhorn")
+    e = np.exp(raw.data)
+    if not ad.tracking(raw):
+        return Tensor(_project(e, iters))
+    steps = list(_sweeps(e, iters))
+    out = Tensor(steps[-1][-1], requires_grad=True)
+
+    def bwd(g, acc):
+        # Each sweep is m_rows = m_in / rows, m = m_rows / cols.  Per div
+        # node the tape first stores g / divisor for the numerator, then
+        # the sum node adds the divisor's broadcast gradient.
+        ins = [e] + [m for *_, m in steps[:-1]]
+        for m_in, (rows, m_rows, cols, _) in zip(reversed(ins), reversed(steps)):
+            g_cols = ad._unbroadcast(-g * m_rows / (cols * cols), cols.shape)
+            g = g / cols + g_cols
+            g_rows = ad._unbroadcast(-g * m_in / (rows * rows), rows.shape)
+            g = g / rows + g_rows
+        acc(raw, g * e)
+
+    ad.record(out, bwd)
+    return out
 
 
 def ds_residual(matrix: np.ndarray) -> float:
@@ -100,7 +133,7 @@ def sinkhorn_residual_trace(raw: np.ndarray, iters: int = 20) -> np.ndarray:
     """Residual after each full sweep, shape (iters,), batched over raw."""
     raw = np.asarray(raw, dtype=np.result_type(raw, np.float64))
     _check_input(raw, iters)
-    return np.array([ds_residual(m) for m in _sweeps(np.exp(raw), iters)])
+    return np.array([ds_residual(m) for *_, m in _sweeps(np.exp(raw), iters)])
 
 
 def ds_compose(chain: list) -> DoublyStochastic:

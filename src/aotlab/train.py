@@ -326,7 +326,8 @@ def train(model, train_ds: TrajectoryDataset, plan: SamplingPlan,
     """Run the denoising loop; optionally resume, validate, and checkpoint.
 
     On numeric blow-up the most recent epoch-boundary checkpoint is written
-    to out_dir/last_good.aotc (when out_dir is given) before the error
+    to out_dir/last_good.aotc and the finished epochs' rows to
+    out_dir/metrics.csv (when out_dir is given) before the error
     propagates.
     """
     params = model.trainable_tensors()
@@ -356,6 +357,10 @@ def train(model, train_ds: TrajectoryDataset, plan: SamplingPlan,
         save_training_checkpoint(path, model, opt, result.step,
                                  data_rng, noise_rng)
         return path
+
+    def write_metrics() -> None:
+        write_metrics_csv(os.path.join(out_dir, "metrics.csv"),
+                          result.metrics, families)
 
     try:
         for global_step in range(start, total):
@@ -398,14 +403,15 @@ def train(model, train_ds: TrajectoryDataset, plan: SamplingPlan,
                     if checkpoint_every and (epoch + 1) % checkpoint_every == 0:
                         snapshot(f"checkpoint_{epoch:04d}.aotc")
     except NumericOverflowError:
-        if out_dir and last_good is None:
-            snapshot("last_good.aotc")
+        if out_dir:
+            if last_good is None:
+                snapshot("last_good.aotc")
+            write_metrics()
         raise
 
     if out_dir:
         result.checkpoint_path = snapshot("checkpoint.aotc")
-        write_metrics_csv(os.path.join(out_dir, "metrics.csv"),
-                          result.metrics, families)
+        write_metrics()
     return result
 
 

@@ -27,7 +27,7 @@ from aotlab.blocks import (
 from aotlab.errors import ShapeError
 from aotlab.sinkhorn import sinkhorn_array
 
-from test_tensor import fd_grad
+from test_tensor import check_grad, fd_grad
 
 
 def const_maps(a, d, t):
@@ -81,6 +81,82 @@ def test_group_norm_matches_numpy_oracle():
     want = ((xg - mean) / np.sqrt(var + 1e-5)).reshape(3, 8, 4, 4)
     want = want * gn.scale.data[None, :, None, None] + gn.shift.data[None, :, None, None]
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def group_norm_ops(gn, x):
+    """GroupNorm as a graph of reshape, mean, sub, mul, rsqrt and add nodes."""
+    b, c, h, w = x.shape
+    g = gn.groups
+    xg = ad.reshape(x, (b, g, c // g, h, w))
+    mean = ad.tmean(xg, axis=(2, 3, 4), keepdims=True)
+    centered = xg - mean
+    var = ad.tmean(centered * centered, axis=(2, 3, 4), keepdims=True)
+    y = ad.reshape(centered * ad.rsqrt(var + gn.eps), (b, c, h, w))
+    return y * ad.reshape(gn.scale, (1, c, 1, 1)) + ad.reshape(gn.shift, (1, c, 1, 1))
+
+
+def taped_norm(norm, gn, base, w, channels_last):
+    """Value, gradients of (input, scale, shift) and the norm's own node
+    count for sum(norm(x) * w).  ``channels_last`` feeds the norm a
+    transposed view and takes its gradient back through a transpose, as
+    the channel MLP does, so the fused backward meets strided arrays."""
+    for t in (base, gn.scale, gn.shift):
+        t.grad = None
+    with Tape() as tape:
+        x = ad.transpose(base, (0, 3, 1, 2)) if channels_last else base
+        before = len(tape)
+        y = norm(gn, x)
+        nodes = len(tape) - before
+        if channels_last:
+            y = ad.transpose(y, (0, 2, 3, 1))
+        tape.backward(ad.tsum(y * Tensor(w)))
+    return y.data, base.grad, gn.scale.grad, gn.shift.grad, nodes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channels_last", [False, True])
+@pytest.mark.parametrize("frozen", [False, True])
+def test_group_norm_fused_node_is_bit_identical_to_op_by_op_tape(
+        dtype, channels_last, frozen):
+    rng = np.random.default_rng(7)
+    gn = GroupNorm(16, 4, Tensor(rng.standard_normal(16).astype(dtype),
+                                 requires_grad=not frozen),
+                   Tensor(rng.standard_normal(16).astype(dtype),
+                          requires_grad=not frozen))
+    shape = (3, 4, 4, 16) if channels_last else (3, 16, 4, 4)
+    base = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+    w = rng.standard_normal(shape).astype(dtype)
+    want = taped_norm(group_norm_ops, gn, base, w, channels_last)
+    got = taped_norm(GroupNorm.__call__, gn, base, w, channels_last)
+    for g, v in zip(got[:4], want[:4]):
+        if frozen and v is None:
+            assert g is None
+            continue
+        assert g.dtype == dtype
+        np.testing.assert_array_equal(g, v)
+    assert (got[4], want[4]) == (1, 13 if frozen else 15)
+
+
+def test_group_norm_gradient_matches_fd():
+    w = np.random.default_rng(8).standard_normal((2, 8, 4, 4))
+    check_grad(lambda ts: ad.tsum(GroupNorm(8, 4, ts[1], ts[2])(ts[0]) * Tensor(w)),
+               [(2, 8, 4, 4), (8,), (8,)], seed=9)
+
+
+def test_group_norm_without_tape_records_nothing(monkeypatch):
+    rng = np.random.default_rng(10)
+    gn = GroupNorm.init(16, 4, dtype=np.float32)
+    gn.scale.data = rng.standard_normal(16).astype(np.float32)
+    x = rng.standard_normal((2, 16, 4, 4)).astype(np.float32)
+    want = group_norm_ops(gn, Tensor(x)).data
+
+    def no_record(out, backward_fn):
+        raise AssertionError("a node was recorded")
+
+    monkeypatch.setattr(ad, "record", no_record)
+    got = gn(Tensor(x, requires_grad=True))
+    np.testing.assert_array_equal(got.data, want)
+    assert not got.requires_grad
 
 
 def test_group_norm_group_selection_and_errors():

@@ -14,6 +14,7 @@ from aotlab.model import (
     apply_linear_transform,
     temporal_aggregate,
 )
+from aotlab.train import denoising_loss
 
 
 def tiny_cfg(**kw):
@@ -367,6 +368,19 @@ def test_every_parameter_class_has_fd_consistent_gradients():
         scale = np.maximum(np.abs(num), 1e-12)
         ok = (err < 1e-4 * scale) | (err < 1e-7)
         assert ok.all(), f"{name}: fd {num}, got {got}"
+
+
+def test_desk_training_step_tape_budget():
+    """Each Sinkhorn projection and each GroupNorm is one tape node, so a
+    desk-config forward plus loss records 496 nodes (1360 with both
+    unrolled).  Node counts do not depend on the batch size."""
+    cfg = ModelConfig()
+    model = Model(cfg, np.random.default_rng(0), dtype=np.float32)
+    u = window(np.random.default_rng(1), cfg, b=2).astype(np.float32)
+    with Tape() as tape:
+        pred = model.forward(Tensor(u))
+        denoising_loss(pred, Tensor(np.zeros_like(pred.data)))
+    assert len(tape) == 496
 
 
 def test_f32_model_runs_entirely_in_f32():

@@ -19,7 +19,7 @@ from aotlab.sinkhorn import (
     spectral_norm_bound_check,
 )
 
-from test_tensor import fd_grad
+from test_tensor import check_grad, fd_grad
 
 
 # ---------------------------------------------------------------------
@@ -159,6 +159,11 @@ def test_non_finite_rejected():
         sinkhorn_tensor(Tensor(bad))
 
 
+def test_complex_input_rejected():
+    with pytest.raises(ShapeError):
+        sinkhorn_tensor(Tensor(np.zeros((4, 4), dtype=complex)))
+
+
 def test_bad_iters_rejected():
     with pytest.raises(ValueError):
         sinkhorn_array(np.zeros((4, 4)), iters=0)
@@ -191,6 +196,66 @@ def test_differentiable_project_carries_tape():
         tape.backward(ad.tsum(ds.matrix * ds.matrix))
     assert raw.grad is not None
     assert np.any(raw.grad != 0)
+
+
+# ---------------------------------------------------------------------
+# the fused node against the op-by-op tape it replaces
+# ---------------------------------------------------------------------
+
+def sinkhorn_ops(raw, iters):
+    """The projection as a graph of exp, sum and div tape nodes."""
+    m = ad.exp(raw)
+    for _ in range(iters):
+        m = m / m.sum(axis=-1, keepdims=True)
+        m = m / m.sum(axis=-2, keepdims=True)
+    return m
+
+
+def taped_projection(project, raw, w, iters):
+    """Value, raw gradient and node count of sum(project(raw) * w)."""
+    raw.grad = None
+    with Tape() as tape:
+        m = project(raw, iters)
+        tape.backward(ad.tsum(m * Tensor(w)))
+    return m.data, raw.grad, len(tape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("iters", [1, 20])
+def test_fused_node_is_bit_identical_to_op_by_op_tape(dtype, iters):
+    rng = np.random.default_rng(40)
+    raw = Tensor(rng.standard_normal((8, 4, 4)).astype(dtype), requires_grad=True)
+    w = rng.standard_normal((8, 4, 4)).astype(dtype)
+    want_m, want_g, want_nodes = taped_projection(sinkhorn_ops, raw, w, iters)
+    got_m, got_g, got_nodes = taped_projection(sinkhorn_tensor, raw, w, iters)
+    assert got_m.dtype == got_g.dtype == dtype
+    np.testing.assert_array_equal(got_m, want_m)
+    np.testing.assert_array_equal(got_g, want_g)
+    # projection + mul + sum
+    assert (got_nodes, want_nodes) == (3, 3 + 4 * iters)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_fused_gradient_matches_fd(seed):
+    w = np.random.default_rng(50 + seed).standard_normal((3, 4, 4))
+    check_grad(lambda ts: ad.tsum(sinkhorn_tensor(ts[0], iters=20) * Tensor(w)),
+               [(3, 4, 4)], seed=60 + seed)
+
+
+def test_fused_node_without_tape_records_nothing(monkeypatch):
+    raw = np.random.default_rng(41).standard_normal((8, 4, 4)).astype(np.float32)
+    want = sinkhorn_ops(Tensor(raw), 20).data
+
+    def no_record(out, backward_fn):
+        raise AssertionError("a node was recorded")
+
+    monkeypatch.setattr(ad, "record", no_record)
+    got = sinkhorn_tensor(Tensor(raw, requires_grad=True), iters=20)
+    np.testing.assert_array_equal(got.data, want)
+    assert not got.requires_grad
+    with Tape() as tape:
+        sinkhorn_tensor(Tensor(raw), iters=20)
+    assert len(tape) == 0
 
 
 # ---------------------------------------------------------------------

@@ -169,6 +169,23 @@ def test_unary_values():
     np.testing.assert_allclose(ad.rsqrt(Tensor(xp)).numpy(), xp ** -0.5, rtol=1e-13)
 
 
+def test_gelu_f32_matches_f64_formula_within_rounding():
+    x = np.linspace(-6.0, 6.0, 4001).astype(np.float32)
+    got = ad.gelu(Tensor(x)).numpy()
+    x64 = x.astype(np.float64)
+    want = 0.5 * x64 * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x64 + 0.044715 * x64 ** 3)))
+    assert got.dtype == np.float32
+    # an absolute bound in ulps of x: for x << 0 the value is a cancellation
+    # in 1 + tanh, so no relative bound holds there
+    assert np.all(np.abs(got - want) <= 2 * np.finfo(np.float32).eps * np.abs(x64))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grad_gelu(seed):
+    w = np.random.default_rng(600 + seed).standard_normal((6, 7))
+    check_grad(lambda ts: _weighted(ad.gelu(ts[0] * 3.0), w), [(6, 7)], seed=700 + seed)
+
+
 def test_sigmoid_extreme_inputs_finite():
     x = Tensor(np.array([-500.0, -40.0, 0.0, 40.0, 500.0]))
     y = ad.sigmoid(x).numpy()

@@ -473,6 +473,20 @@ def test_blowup_aborts_and_keeps_last_good(tmp_path, heat_corpus):
     assert ck.config_hash == config_hash(model.cfg)
 
 
+def test_blowup_after_an_epoch_keeps_its_metrics_row(tmp_path, heat_corpus):
+    train_ds, test_ds, plan = heat_corpus
+    cfg = TrainConfig(epochs=4, steps_per_epoch=3, batch=2, peak_lr=3.0,
+                      warmup_epochs=0, seed=0, clip_norm=None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericOverflowError):
+            train(tiny_model(seed=0), train_ds, plan, cfg, test_ds=test_ds,
+                  out_dir=str(tmp_path))
+    assert load_checkpoint(str(tmp_path / "last_good.aotc")).step == 3
+    lines = (tmp_path / "metrics.csv").read_text().strip().split("\n")
+    assert lines[0] == "epoch,step,lr,train_loss,heat_l2re"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["0", "3"]]
+
+
 def test_metrics_csv_layout(tmp_path, heat_corpus):
     train_ds, test_ds, plan = heat_corpus
     cfg = TrainConfig(epochs=2, steps_per_epoch=3, batch=2, warmup_epochs=1,
