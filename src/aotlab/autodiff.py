@@ -69,9 +69,13 @@ class Tape:
         self._nodes.clear()
 
     def backward(self, root: "Tensor") -> None:
-        """Propagate d(root)/d(leaf) into ``.grad`` of every tensor that
-        requires grad.  ``root`` must hold a single element.  Repeated calls
-        accumulate into ``.grad``; zero or clear grads between steps.
+        """Propagate d(root)/d(leaf) into ``.grad`` of every leaf that
+        requires grad (a tensor no node of this tape produced).  ``root``
+        must hold a single element.  Repeated calls accumulate into
+        ``.grad``; zero or clear grads between steps.  A node's output
+        gradient is dropped as soon as its closure has run, so
+        intermediates get no ``.grad`` and the pass holds only the
+        gradients still waiting to be propagated.
         """
         if root.size != 1:
             raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
@@ -92,7 +96,7 @@ class Tape:
                 entry[1] = entry[1] + g
 
         for out, backward_fn in reversed(self._nodes):
-            entry = store.get(id(out))
+            entry = store.pop(id(out), None)
             if entry is None:
                 continue
             backward_fn(entry[1], accumulate)

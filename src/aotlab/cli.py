@@ -252,14 +252,11 @@ def cmd_transform_exp(cfg: RunConfig, args: argparse.Namespace) -> None:
     tcfg = cfg.train_config()
     mcfg = cfg.model_config()
     finals = {}
+    learned = os.path.join(cfg.out, "learned", "checkpoint.aotc")
     for mode in TRANSFORM_MODES:
-        run_dir = os.path.join(cfg.out, mode)
-        kwargs = {}
-        if mode == "frozen":
-            kwargs["transform_from"] = os.path.join(
-                cfg.out, "learned", "checkpoint.aotc")
+        kwargs = {"transform_from": learned} if mode == "frozen" else {}
         result, _ = train_mode_run(mcfg, mode, sub, plan, tcfg, dtype=dtype,
-                                   out_dir=run_dir, **kwargs)
+                                   out_dir=os.path.join(cfg.out, mode), **kwargs)
         finals[mode] = result.metrics[-1]["train_loss"]
     cmp_path = os.path.join(cfg.out, "transform_comparison.csv")
     write_lines(cmp_path, ["mode,final_train_loss"]
@@ -269,8 +266,12 @@ def cmd_transform_exp(cfg: RunConfig, args: argparse.Namespace) -> None:
               for mode in TRANSFORM_MODES]
     lines.append(f"comparison: {cmp_path}")
     if len(names) >= 2:
+        # the mode comparison already trained the primary's source and
+        # its frozen primary -> primary run
         matrix = cross_transfer(mcfg, ds, names, tcfg,
-                                os.path.join(cfg.out, "xfer"), dtype=dtype)
+                                os.path.join(cfg.out, "xfer"), dtype=dtype,
+                                sources={primary: learned},
+                                cells={(primary, primary): finals["frozen"]})
         cross_path = os.path.join(cfg.out, "cross_transfer.csv")
         write_cross_transfer_csv(cross_path, names, matrix)
         lines.append(f"cross-transfer matrix ({len(names)} families): "

@@ -1,14 +1,18 @@
-"""Multi-head Fourier-domain token mixer.
+"""Multi-head Fourier-domain token mixer on the retained modes only.
 
-Tokens are transformed to the frequency domain, a per-head two-layer
-complex MLP is applied pointwise in frequency (shared across modes), high
-frequencies are zeroed, and the result is transformed back; the real part
-is the output.
+Let F be the (H*W, R) matrix of DFT rows for the R frequencies the layer
+keeps.  Tokens of each channel are carried to those modes by one matmul
+with F, a per-head two-layer complex MLP is applied pointwise in frequency
+(shared across modes), and one matmul with conj(F)^T / (H*W) carries the
+result back; the real part is the output.  Frequencies outside the
+retained set are never formed: the operator is the one a full-grid FFT,
+the MLP at every frequency, a mode mask and an inverse FFT would give,
+but it needs no FFT and the grid may have any extent.
 
 Retention rule: a mode with signed frequency (ky, kx) is kept when
-``|ky| < modes`` and ``|kx| < modes``; everything else is zeroed.  The
-bias vectors are shared across retained modes.  The activation acts on
-real and imaginary parts independently.
+``|ky| < modes`` and ``|kx| < modes`` (``mode_mask``).  The bias vectors
+are shared across retained modes.  The activation acts on real and
+imaginary parts independently.
 
 When the activation is the identity and the biases are zero the layer is a
 matrix-valued Fourier multiplier, hence linear in the input and exactly
@@ -22,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from . import fft
 from .autodiff import Tensor
 from .errors import ShapeError
 
@@ -96,23 +99,26 @@ def fourier_mix(z: Tensor, params: FourierMixerParams, activation: str = "gelu")
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}; options: {ACTIVATIONS}")
     z = ad.as_tensor(z)
-    squeeze = z.ndim == 3
-    if squeeze:
-        z = ad.reshape(z, (1,) + z.shape)
-    if z.ndim != 4:
-        raise ShapeError(f"fourier_mix expects (B, C, H, W), got {z.shape}")
-    b, c, h, w = z.shape
+    if z.ndim not in (3, 4):
+        raise ShapeError(f"fourier_mix expects (B, C, H, W) or (C, H, W), got {z.shape}")
+    b = z.shape[0] if z.ndim == 4 else 1
+    c, h, w = z.shape[-3:]
     if c != params.dim:
         raise ShapeError(f"channel count {c} does not match mixer dim {params.dim}")
     heads = params.heads
     dh = c // heads
-    mask = mode_mask(h, w, params.modes)
+    # F[j, r] = exp(-2 pi i (y_j ky_r / h + x_j kx_r / w)) over retained (ky, kx)
+    ky, kx = np.nonzero(mode_mask(h, w, params.modes))
+    gy, gx = np.divmod(np.arange(h * w), w)
+    f = np.exp(-2j * np.pi * (np.outer(gy, ky) / h + np.outer(gx, kx) / w))
+    f = f.astype(np.result_type(z.dtype, np.complex64))
+    r = f.shape[1]
 
-    zh = fft.fft2(ad.make_complex(z, z * 0.0))
-    # (B, C, H, W) -> (heads, dh, B*H*W) for per-head channel contractions
-    zh = ad.reshape(zh, (b, heads, dh, h, w))
-    zh = ad.transpose(zh, (1, 2, 0, 3, 4))
-    zh = ad.reshape(zh, (heads, dh, b * h * w))
+    zh = ad.matmul(ad.reshape(z, (b * c, h * w)), Tensor(f))
+    # (B*C, R) -> (heads, dh, B*R) for per-head channel contractions
+    zh = ad.reshape(zh, (b, heads, dh, r))
+    zh = ad.transpose(zh, (1, 2, 0, 3))
+    zh = ad.reshape(zh, (heads, dh, b * r))
 
     w1 = ad.make_complex(params.w1_re, params.w1_im)
     b1 = ad.make_complex(params.b1_re, params.b1_im)
@@ -123,13 +129,8 @@ def fourier_mix(z: Tensor, params: FourierMixerParams, activation: str = "gelu")
     y = _split_activation(y, activation)
     y = ad.bmm(w2, y) + ad.reshape(b2, (heads, dh, 1))
 
-    y = ad.reshape(y, (heads, dh, b, h, w))
-    y = ad.transpose(y, (2, 0, 1, 3, 4))
-    y = ad.reshape(y, (b, c, h, w))
-
-    real_dtype = np.float32 if y.dtype == np.complex64 else np.float64
-    y = y * Tensor(mask.astype(real_dtype))
-    out = ad.real(fft.ifft2(y))
-    if squeeze:
-        out = ad.reshape(out, (c, h, w))
-    return out
+    y = ad.reshape(y, (heads, dh, b, r))
+    y = ad.transpose(y, (2, 0, 1, 3))
+    y = ad.reshape(y, (b * c, r))
+    out = ad.real(ad.matmul(y, Tensor(np.conj(f).T / (h * w))))
+    return ad.reshape(out, z.shape)

@@ -26,10 +26,6 @@ from .blocks import (
 from .errors import NumericOverflowError, ShapeError
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass
 class ModelConfig:
     height: int = 32
@@ -51,8 +47,6 @@ class ModelConfig:
         if self.height % self.patch or self.width % self.patch:
             raise ShapeError(f"grid ({self.height}, {self.width}) not divisible "
                              f"by patch {self.patch}")
-        if not (_is_pow2(self.height // self.patch) and _is_pow2(self.width // self.patch)):
-            raise ShapeError("token grid extents must be powers of two")
         if self.d_z % self.heads:
             raise ShapeError(f"d_z {self.d_z} not divisible by heads {self.heads}")
 

@@ -446,18 +446,24 @@ def train_mode_run(model_cfg: ModelConfig, mode: str,
 
 def cross_transfer(model_cfg: ModelConfig, ds: TrajectoryDataset,
                    families: list, cfg: TrainConfig, out_dir: str,
-                   dtype=np.float64) -> dict:
+                   dtype=np.float64, sources: dict | None = None,
+                   cells: dict | None = None) -> dict:
     """Transfer matrix: pre-train the transform on each source family, then
     freeze it and retrain the backbone on each target family.
 
     Returns {(source, target): final-epoch mean train loss}; source
-    checkpoints land under out_dir/source_<family>/.
+    checkpoints land under out_dir/source_<family>/.  ``sources`` maps a
+    family to a learned-mode checkpoint already trained with these
+    settings, and ``cells`` holds losses already measured from those
+    checkpoints; neither is trained again.
     """
     if len(families) < 2:
         raise ValueError("need at least two families for a transfer matrix")
-    matrix = {}
-    sources = {}
+    matrix = dict(cells or {})
+    sources = dict(sources or {})
     for fam in families:
+        if fam in sources:
+            continue
         sub = family_subset(ds, fam)
         plan = SamplingPlan({fam: 1.0})
         res, _ = train_mode_run(model_cfg, "learned", sub, plan, cfg,
@@ -466,6 +472,8 @@ def cross_transfer(model_cfg: ModelConfig, ds: TrajectoryDataset,
         sources[fam] = res.checkpoint_path
     for src in families:
         for dst in families:
+            if (src, dst) in matrix:
+                continue
             sub = family_subset(ds, dst)
             plan = SamplingPlan({dst: 1.0})
             res, _ = train_mode_run(model_cfg, "frozen", sub, plan, cfg,

@@ -310,3 +310,28 @@ def test_transform_exp_artifacts(tiny_ini, tmp_path):
     assert len(cross) == 3
     for run_dir in ("vanilla", "learned", "frozen"):
         assert (tmp_path / run_dir / "checkpoint.aotc").exists()
+
+
+def test_transform_exp_trains_each_run_once(tiny_ini, tmp_path, monkeypatch):
+    """The primary family's learned source and its frozen primary ->
+    primary run come from the mode comparison, so two families need 7
+    trainings: 3 modes, 1 more source and 3 more frozen cells."""
+    import aotlab.cli
+    import aotlab.train
+
+    calls = []
+    original = aotlab.train.train_mode_run
+
+    def counted(model_cfg, mode, train_ds, *args, **kwargs):
+        calls.append(mode)
+        return original(model_cfg, mode, train_ds, *args, **kwargs)
+
+    monkeypatch.setattr(aotlab.cli, "train_mode_run", counted)
+    monkeypatch.setattr(aotlab.train, "train_mode_run", counted)
+    assert run("--config", tiny_ini, "--seed", 2, "--out", tmp_path,
+               "transform-exp", "--families", "heat,diffusion_reaction",
+               "--epochs", 2, "--steps-per-epoch", 2, "--batch", 2) == 0
+    assert sorted(calls) == ["frozen"] * 4 + ["learned"] * 2 + ["vanilla"]
+    comparison = (tmp_path / "transform_comparison.csv").read_text().split("\n")
+    cross = (tmp_path / "cross_transfer.csv").read_text().split("\n")
+    assert comparison[3].split(",")[1] == cross[1].split(",")[1]  # frozen == heat,heat

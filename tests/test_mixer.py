@@ -7,7 +7,7 @@ from aotlab import autodiff as ad
 from aotlab import fft
 from aotlab.autodiff import Tape, Tensor
 from aotlab.errors import ShapeError
-from aotlab.mixer import FourierMixerParams, fourier_mix, mode_mask
+from aotlab.mixer import FourierMixerParams, _split_activation, fourier_mix, mode_mask
 
 from test_tensor import fd_grad
 
@@ -21,6 +21,36 @@ def make_params(dim, heads, modes, seed=0, scale=1.0, zero_bias=False, dtype=np.
         elif not zero_bias:
             t.data = (rng.standard_normal(t.shape) * 0.1).astype(t.data.dtype)
     return p
+
+
+def fft_mask_reference(z, params, activation="gelu"):
+    """The full-grid mixer kept as the oracle: radix-2 FFT of the whole
+    token grid, the complex MLP at every frequency, the mode mask, the
+    inverse FFT and the real part.  Power-of-two grids only."""
+    b, c, h, w = z.shape
+    heads = params.heads
+    dh = c // heads
+    mask = mode_mask(h, w, params.modes)
+
+    zh = fft.fft2(ad.make_complex(z, z * 0.0))
+    zh = ad.reshape(zh, (b, heads, dh, h, w))
+    zh = ad.transpose(zh, (1, 2, 0, 3, 4))
+    zh = ad.reshape(zh, (heads, dh, b * h * w))
+
+    w1 = ad.make_complex(params.w1_re, params.w1_im)
+    b1 = ad.make_complex(params.b1_re, params.b1_im)
+    w2 = ad.make_complex(params.w2_re, params.w2_im)
+    b2 = ad.make_complex(params.b2_re, params.b2_im)
+
+    y = ad.bmm(w1, zh) + ad.reshape(b1, (heads, dh, 1))
+    y = _split_activation(y, activation)
+    y = ad.bmm(w2, y) + ad.reshape(b2, (heads, dh, 1))
+
+    y = ad.reshape(y, (heads, dh, b, h, w))
+    y = ad.transpose(y, (2, 0, 1, 3, 4))
+    y = ad.reshape(y, (b, c, h, w))
+    y = y * Tensor(mask)
+    return ad.real(fft.ifft2(y))
 
 
 def identity_params(dim, heads, modes):
@@ -73,11 +103,10 @@ def test_identity_weights_full_modes_round_trip():
 def test_zero_input_bias_path_closed_form():
     """Zero input leaves only the bias path: the output is the inverse
     transform of (W2 sigma(b1) + b2) placed on every retained mode, which
-    we evaluate here by a direct exponential sum."""
-    dim, heads, modes, n = 4, 2, 2, 8
+    we evaluate here by a direct exponential sum, on square, odd and
+    rectangular grids."""
+    dim, heads, modes = 4, 2, 2
     p = make_params(dim, heads, modes, seed=3)
-    out = fourier_mix(Tensor(np.zeros((dim, n, n))), p, activation="gelu").numpy()
-
     dh = dim // heads
     w2 = p.w2_re.data + 1j * p.w2_im.data
     b1 = p.b1_re.data + 1j * p.b1_im.data
@@ -89,35 +118,38 @@ def test_zero_input_bias_path_closed_form():
 
     sb1 = g(b1.real) + 1j * g(b1.imag)
     coef = np.einsum("hij,hj->hi", w2, sb1) + b2  # per-channel spectrum value
-    mask = mode_mask(n, n, modes)
-    x = np.arange(n)
-    expect = np.zeros((dim, n, n))
-    for ky in range(n):
-        for kx in range(n):
-            if not mask[ky, kx]:
-                continue
-            phase = np.exp(2j * np.pi * (np.add.outer(ky * x, kx * x)) / n)
-            for h_i in range(heads):
-                for ci in range(dh):
-                    expect[h_i * dh + ci] += (coef[h_i, ci] * phase).real
-    expect /= n * n
-    np.testing.assert_allclose(out, expect, atol=1e-10)
+    for h, w in [(8, 8), (3, 3), (6, 4)]:
+        out = fourier_mix(Tensor(np.zeros((dim, h, w))), p, activation="gelu").numpy()
+        mask = mode_mask(h, w, modes)
+        expect = np.zeros((dim, h, w))
+        for ky in range(h):
+            for kx in range(w):
+                if not mask[ky, kx]:
+                    continue
+                phase = np.exp(2j * np.pi * np.add.outer(ky * np.arange(h) / h,
+                                                         kx * np.arange(w) / w))
+                for h_i in range(heads):
+                    for ci in range(dh):
+                        expect[h_i * dh + ci] += (coef[h_i, ci] * phase).real
+        expect /= h * w
+        np.testing.assert_allclose(out, expect, atol=1e-10, err_msg=f"grid {h}x{w}")
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_shift_equivariance_multiplier_regime(seed):
     """Zero-bias identity-activation mixers are Fourier multipliers and
-    commute with circular shifts exactly."""
+    commute with circular shifts exactly, on any grid extent."""
     rng = np.random.default_rng(seed)
     p = make_params(4, 2, 3, seed=seed, zero_bias=True)
-    z = rng.standard_normal((4, 8, 8))
-    dy, dx = rng.integers(0, 8, size=2)
-    out = fourier_mix(Tensor(z), p, activation="identity").numpy()
-    out_shifted = fourier_mix(
-        Tensor(np.roll(np.roll(z, dy, axis=1), dx, axis=2)), p, activation="identity"
-    ).numpy()
-    np.testing.assert_allclose(out_shifted, np.roll(np.roll(out, dy, axis=1), dx, axis=2),
-                               atol=1e-9)
+    for n in (8, 6):
+        z = rng.standard_normal((4, n, n))
+        dy, dx = rng.integers(0, n, size=2)
+        out = fourier_mix(Tensor(z), p, activation="identity").numpy()
+        out_shifted = fourier_mix(
+            Tensor(np.roll(np.roll(z, dy, axis=1), dx, axis=2)), p, activation="identity"
+        ).numpy()
+        np.testing.assert_allclose(out_shifted,
+                                   np.roll(np.roll(out, dy, axis=1), dx, axis=2), atol=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -181,6 +213,7 @@ def test_single_precision_path():
     p = make_params(4, 2, 2, seed=12, dtype=np.float32)
     z = Tensor(np.random.default_rng(1).standard_normal((4, 4, 4)).astype(np.float32))
     assert fourier_mix(z, p).dtype == np.float32
+    assert fourier_mix(Tensor(z.data[None]), p).dtype == np.float32
 
 
 def test_shape_errors():
@@ -188,7 +221,7 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         fourier_mix(Tensor(np.zeros((6, 8, 8))), p)  # wrong channel count
     with pytest.raises(ShapeError):
-        fourier_mix(Tensor(np.zeros((4, 6, 8))), p)  # non power-of-two grid
+        fourier_mix(Tensor(np.zeros((4, 8))), p)  # no grid axes
     with pytest.raises(ShapeError):
         FourierMixerParams.init(6, 4, 2, np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -240,3 +273,39 @@ def test_gradient_all_weight_tensors(activation):
     )
     err = np.abs(zt.grad - num)
     assert np.all((err < 1e-4 * np.maximum(np.abs(num), 1e-12)) | (err < 1e-7))
+
+
+# ---------------------------------------------------------------------
+# retained-mode path against the full-grid FFT-plus-mask oracle
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("activation", ["gelu", "relu", "identity"])
+@pytest.mark.parametrize("grid, modes", [((4, 4), 2), ((4, 8), 3), ((8, 8), 1),
+                                         ((4, 4), 4), ((8, 4), 4)])
+def test_matches_fft_mask_oracle(activation, grid, modes):
+    rng = np.random.default_rng(30)
+    z0 = rng.standard_normal((2, 4) + grid)
+    w = rng.standard_normal((2, 4) + grid)
+    p = make_params(4, 2, modes, seed=31)
+    params = p.named("m")
+    for t in params.values():
+        t.requires_grad = True
+
+    def run(mix):
+        z = Tensor(z0.copy(), requires_grad=True)
+        with Tape() as tape:
+            out = mix(z, p, activation=activation)
+            tape.backward(ad.tsum(out * Tensor(w)))
+        grads = {name: t.grad for name, t in params.items()}
+        for t in params.values():
+            t.grad = None
+        return out.numpy(), z.grad, grads
+
+    out, gz, grads = run(fourier_mix)
+    ref_out, ref_gz, ref_grads = run(fft_mask_reference)
+    np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(gz, ref_gz, rtol=0, atol=1e-10)
+    assert len(grads) == 8
+    for name in params:
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-10,
+                                   err_msg=name)

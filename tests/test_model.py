@@ -41,8 +41,6 @@ def test_config_rejects_bad_geometry():
     with pytest.raises(ShapeError):
         ModelConfig(height=30, width=32, patch=8)
     with pytest.raises(ShapeError):
-        ModelConfig(height=24, width=24, patch=8)  # token grid 3x3 not pow2
-    with pytest.raises(ShapeError):
         ModelConfig(d_z=30, heads=4)
 
 
@@ -370,17 +368,99 @@ def test_every_parameter_class_has_fd_consistent_gradients():
         assert ok.all(), f"{name}: fd {num}, got {got}"
 
 
+def test_three_by_three_token_grid_has_fd_consistent_gradients():
+    """Any token grid works: a 24x24 field in 8x8 patches mixes a 3x3 grid."""
+    cfg = ModelConfig(height=24, width=24, patch=8, t_in=2, d_z=8, heads=2,
+                      blocks=1, streams=2, gate_init=0.5)
+    assert (cfg.token_h, cfg.token_w) == (3, 3)
+    model = Model(cfg, np.random.default_rng(34))
+    rng = np.random.default_rng(35)
+    for name, t in model.named_tensors().items():
+        if ".mix.inner." in name:  # lift the 0.02-scale init so the mixer matters
+            t.data = 0.5 * rng.standard_normal(t.shape)
+    u = window(rng, cfg)
+    w = rng.standard_normal((1, 24, 24, 2))
+
+    def loss_fn():
+        with Tape():
+            return float(ad.tsum(model.forward(Tensor(u)) * Tensor(w)).item())
+
+    with Tape() as tape:
+        tape.backward(ad.tsum(model.forward(Tensor(u)) * Tensor(w)))
+
+    for name in ("blocks.0.mix.inner.w1_re", "blocks.0.mix.inner.w2_im",
+                 "blocks.0.mix.inner.b1_im", "patch.w"):
+        t = model.named_tensors()[name]
+        idx, num = fd_entries(loss_fn, t, k=3, seed=36)
+        got = t.grad.reshape(-1)[idx]
+        err = np.abs(got - num)
+        assert np.abs(num).max() > 1e-3
+        assert ((err < 1e-4 * np.maximum(np.abs(num), 1e-12)) | (err < 1e-7)).all(), \
+            f"{name}: fd {num}, got {got}"
+
+
 def test_desk_training_step_tape_budget():
-    """Each Sinkhorn projection and each GroupNorm is one tape node, so a
-    desk-config forward plus loss records 496 nodes (1360 with both
-    unrolled).  Node counts do not depend on the batch size."""
+    """Each Sinkhorn projection and each GroupNorm is one tape node, and
+    each mixer enters and leaves the retained modes through one matmul
+    each, so a desk-config forward plus loss records 492 nodes (496 with
+    the full-grid FFT plus mask, 1360 with Sinkhorn and GroupNorm
+    unrolled too).  Node counts do not depend on the batch size."""
     cfg = ModelConfig()
     model = Model(cfg, np.random.default_rng(0), dtype=np.float32)
     u = window(np.random.default_rng(1), cfg, b=2).astype(np.float32)
     with Tape() as tape:
         pred = model.forward(Tensor(u))
         denoising_loss(pred, Tensor(np.zeros_like(pred.data)))
-    assert len(tape) == 496
+    assert len(tape) == 492
+
+
+def store_all_backward(tape, root):
+    """Reference backward that keeps every gradient to the end of the pass
+    and sets ``.grad`` on intermediates too; the oracle for Tape.backward,
+    which drops each node's gradient once its closure has run."""
+    store = {id(root): [root, np.ones_like(root.data)]}
+
+    def accumulate(t, g):
+        if not t.requires_grad:
+            return
+        g = ad._unbroadcast(g, t.data.shape)
+        if np.iscomplexobj(g) and not np.iscomplexobj(t.data):
+            g = np.ascontiguousarray(g.real)
+        entry = store.get(id(t))
+        if entry is None:
+            store[id(t)] = [t, g.astype(t.data.dtype, copy=True)]
+        else:
+            entry[1] = entry[1] + g
+
+    for out, backward_fn in reversed(tape._nodes):
+        entry = store.get(id(out))
+        if entry is not None:
+            backward_fn(entry[1], accumulate)
+    for t, g in store.values():
+        t.grad = g if t.grad is None else t.grad + g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_sets_leaf_grads_only_and_matches_store_all(dtype):
+    cfg = ModelConfig(gate_init=0.5)
+    model = Model(cfg, np.random.default_rng(0), dtype=dtype)
+    u = window(np.random.default_rng(1), cfg, b=2).astype(dtype)
+    target = np.random.default_rng(2).standard_normal(
+        (2, cfg.height, cfg.width, cfg.channels)).astype(dtype)
+    params = model.trainable_tensors()
+    with Tape() as tape:
+        loss = denoising_loss(model.forward(Tensor(u)), Tensor(target))
+    tape.backward(loss)
+    grads = {name: t.grad for name, t in params.items()}
+    assert all(g is not None for g in grads.values())
+    assert all(out.grad is None for out, _ in tape._nodes)
+
+    for t in params.values():
+        t.grad = None
+    store_all_backward(tape, loss)
+    assert loss.grad is not None
+    for name, t in params.items():
+        np.testing.assert_array_equal(grads[name], t.grad, err_msg=name)
 
 
 def test_f32_model_runs_entirely_in_f32():
