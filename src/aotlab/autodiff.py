@@ -5,12 +5,9 @@ differentiable primitive appends a node ``(output, backward_fn)`` to the
 currently active ``Tape``.  Execution order is a topological order of the
 graph, so replaying the node list in reverse propagates gradients correctly.
 
-Real arrays are the common case.  Complex arrays appear transiently inside
-the Fourier mixer; their gradients follow the (real, imag) pair convention:
-``grad = dL/d(re) + i * dL/d(im)``.  Under that convention the backward rule
-of any holomorphic primitive multiplies by the conjugated derivative, which
-is why the generic rules below conjugate their saved operands (a no-op for
-real data).
+Tensors hold real floating-point arrays only; a complex array raises
+``ShapeError``.  Complex arithmetic, as in the Fourier mixer, is written
+out by the caller in real arithmetic.
 """
 
 from __future__ import annotations
@@ -21,8 +18,6 @@ import threading
 import numpy as np
 
 from .errors import ShapeError
-
-_FLOAT_KINDS = ("f", "c")
 
 _tls = threading.local()
 
@@ -87,8 +82,6 @@ class Tape:
             if not t.requires_grad:
                 return
             g = _unbroadcast(g, t.data.shape)
-            if np.iscomplexobj(g) and not np.iscomplexobj(t.data):
-                g = np.ascontiguousarray(g.real)
             entry = store.get(id(t))
             if entry is None:
                 store[id(t)] = [t, g.astype(t.data.dtype, copy=True)]
@@ -135,7 +128,9 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
-        if arr.dtype.kind not in _FLOAT_KINDS:
+        if arr.dtype.kind == "c":
+            raise ShapeError(f"tensors hold real arrays only, got {arr.dtype}")
+        if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -232,15 +227,15 @@ def as_tensor(x) -> Tensor:
 def _binary_operands(a, b) -> tuple:
     """Wrap both operands, keeping Python scalars at the peer's precision.
 
-    A bare ``float``/``int``/``complex`` follows numpy's weak-scalar rule
+    A bare ``float``/``int`` follows numpy's weak-scalar rule
     (``np.result_type``) instead of forcing float64, so f32 graphs are not
     silently promoted by expressions like ``2.0 * t``.
     """
     if isinstance(a, Tensor) and isinstance(b, Tensor):
         return a, b
-    if isinstance(b, (int, float, complex)) and isinstance(a, Tensor):
+    if isinstance(b, (int, float)) and isinstance(a, Tensor):
         return a, Tensor(np.asarray(b, dtype=np.result_type(a.data.dtype, b)))
-    if isinstance(a, (int, float, complex)) and isinstance(b, Tensor):
+    if isinstance(a, (int, float)) and isinstance(b, Tensor):
         return Tensor(np.asarray(a, dtype=np.result_type(b.data.dtype, a))), b
     return as_tensor(a), as_tensor(b)
 
@@ -294,8 +289,8 @@ def mul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def bwd(g, acc):
-        acc(a, g * np.conj(bd))
-        acc(b, g * np.conj(ad))
+        acc(a, g * bd)
+        acc(b, g * ad)
 
     record(out, bwd)
     return out
@@ -307,9 +302,8 @@ def div(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def bwd(g, acc):
-        cb = np.conj(bd)
-        acc(a, g / cb)
-        acc(b, -g * np.conj(ad) / (cb * cb))
+        acc(a, g / bd)
+        acc(b, -g * ad / (bd * bd))
 
     record(out, bwd)
     return out
@@ -340,21 +334,14 @@ def _unary(a: Tensor, value: np.ndarray, deriv: np.ndarray) -> Tensor:
     return out
 
 
-def _require_real(a: Tensor, name: str) -> None:
-    if np.iscomplexobj(a.data):
-        raise ShapeError(f"{name} is defined on real tensors only; split real/imag first")
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
-    _require_real(a, "exp")
     value = np.exp(a.data)
     return _unary(a, value, value)
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    _require_real(a, "sigmoid")
     # numerically stable logistic
     value = np.empty_like(a.data)
     pos = a.data >= 0
@@ -366,21 +353,18 @@ def sigmoid(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    _require_real(a, "relu")
     value = np.maximum(a.data, 0.0)
     return _unary(a, value, (a.data > 0).astype(a.data.dtype))
 
 
 def rsqrt(a) -> Tensor:
     a = as_tensor(a)
-    _require_real(a, "rsqrt")
     value = 1.0 / np.sqrt(a.data)
     return _unary(a, value, -0.5 * value / a.data)
 
 
 def cos(a) -> Tensor:
     a = as_tensor(a)
-    _require_real(a, "cos")
     return _unary(a, np.cos(a.data), -np.sin(a.data))
 
 
@@ -390,7 +374,6 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a) -> Tensor:
     """tanh-approximation GELU (the variant used throughout this package)."""
     a = as_tensor(a)
-    _require_real(a, "gelu")
     x = a.data
     inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
@@ -414,8 +397,8 @@ def matmul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def bwd(g, acc):
-        acc(a, g @ np.conj(bd).T)
-        acc(b, np.conj(ad).T @ g)
+        acc(a, g @ bd.T)
+        acc(b, ad.T @ g)
 
     record(out, bwd)
     return out
@@ -432,8 +415,8 @@ def bmm(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def bwd(g, acc):
-        acc(a, g @ np.conj(bd).swapaxes(-1, -2))
-        acc(b, np.conj(ad).swapaxes(-1, -2) @ g)
+        acc(a, g @ bd.swapaxes(-1, -2))
+        acc(b, ad.swapaxes(-1, -2) @ g)
 
     record(out, bwd)
     return out
@@ -514,43 +497,22 @@ def broadcast_to(a, shape) -> Tensor:
     return out
 
 
-# ---------------------------------------------------------------------
-# complex glue
-# ---------------------------------------------------------------------
-
-def make_complex(re, im) -> Tensor:
-    """Combine two real tensors into one complex tensor (pair convention)."""
-    re, im = as_tensor(re), as_tensor(im)
-    _require_real(re, "make_complex")
-    _require_real(im, "make_complex")
-    ctype = np.complex64 if re.data.dtype == np.float32 else np.complex128
-    out = Tensor((re.data + 1j * im.data).astype(ctype), requires_grad=tracking(re, im))
+def concat(tensors, axis: int) -> Tensor:
+    """Join tensors along ``axis``; the backward splits the gradient at
+    the input boundaries."""
+    tensors = [as_tensor(t) for t in tensors]
+    try:
+        data = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError as exc:
+        shapes = [t.shape for t in tensors]
+        raise ShapeError(f"cannot concatenate shapes {shapes} along axis {axis}") from exc
+    out = Tensor(data, requires_grad=tracking(*tensors))
+    bounds = np.cumsum([t.shape[axis] for t in tensors[:-1]])
 
     def bwd(g, acc):
-        acc(re, g.real)
-        acc(im, g.imag)
+        for t, part in zip(tensors, np.split(g, bounds, axis=axis)):
+            acc(t, part)
 
     record(out, bwd)
     return out
 
-
-def real(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.ascontiguousarray(a.data.real), requires_grad=tracking(a))
-
-    def bwd(g, acc):
-        acc(a, g)
-
-    record(out, bwd)
-    return out
-
-
-def imag(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.ascontiguousarray(a.data.imag), requires_grad=tracking(a))
-
-    def bwd(g, acc):
-        acc(a, 1j * g)
-
-    record(out, bwd)
-    return out

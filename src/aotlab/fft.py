@@ -1,4 +1,4 @@
-"""Radix-2 two-dimensional FFT with tape-aware wrappers.
+"""Radix-2 two-dimensional FFT on numpy arrays.
 
 The transform is written from scratch (iterative Cooley-Tukey over the last
 axis, vectorized across all leading axes) and only accepts power-of-two
@@ -9,18 +9,15 @@ Conventions match the usual DFT pair: the forward transform is
 unnormalized, ``X_k = sum_j x_j exp(-2 pi i j k / n)``, and the inverse
 carries the full ``1/(H W)`` factor, so ``ifft2(fft2(x)) == x``.
 
-Because the transform is a C-linear map, its backward rule under the
-(real, imag) gradient pair convention is the adjoint: the adjoint of the
-unnormalized forward DFT is ``n`` times the normalized inverse, and vice
-versa.
+Nothing on the model path uses this module: the Fourier mixer works on
+its retained modes through real DFT tables.  It stays as the tested
+oracle for those tables.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import ShapeError
 
 
@@ -83,28 +80,7 @@ def ifft2_array(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(y.swapaxes(-1, -2)) / (x.shape[-1] * x.shape[-2])
 
 
-def fft2(a) -> Tensor:
-    """Tape-aware forward 2-D FFT over the last two axes."""
-    a = ad.as_tensor(a)
-    out = Tensor(fft2_array(a.data), requires_grad=ad.tracking(a))
-    hw = a.shape[-1] * a.shape[-2]
-
-    def bwd(g, acc):
-        # adjoint of the unnormalized forward transform
-        acc(a, ifft2_array(g) * hw)
-
-    ad.record(out, bwd)
-    return out
-
-
-def ifft2(a) -> Tensor:
-    """Tape-aware inverse 2-D FFT over the last two axes."""
-    a = ad.as_tensor(a)
-    out = Tensor(ifft2_array(a.data), requires_grad=ad.tracking(a))
-    hw = a.shape[-1] * a.shape[-2]
-
-    def bwd(g, acc):
-        acc(a, fft2_array(g) / hw)
-
-    ad.record(out, bwd)
-    return out
+# Plain aliases kept because the benchmark's tracer (bench/tracing.py)
+# wraps ``fft2`` and ``ifft2`` by name.
+fft2 = fft2_array
+ifft2 = ifft2_array

@@ -1,18 +1,24 @@
 """Multi-head Fourier-domain token mixer on the retained modes only.
 
-Let F be the (H*W, R) matrix of DFT rows for the R frequencies the layer
-keeps.  Tokens of each channel are carried to those modes by one matmul
-with F, a per-head two-layer complex MLP is applied pointwise in frequency
-(shared across modes), and one matmul with conj(F)^T / (H*W) carries the
-result back; the real part is the output.  Frequencies outside the
-retained set are never formed: the operator is the one a full-grid FFT,
-the MLP at every frequency, a mode mask and an inverse FFT would give,
-but it needs no FFT and the grid may have any extent.
+Let theta[j, r] be the DFT phase of token j at the r-th of the R
+frequencies the layer keeps, so the DFT rows are F = cos(theta) -
+i sin(theta).  The layer works in real arithmetic throughout: one matmul
+with the real (H*W, 2R) table ``[cos | -sin]`` carries the tokens of each
+channel to those modes, as ``re`` and ``im`` parts stacked in rows
+``[re; im]``.  A per-head two-layer complex MLP is applied pointwise in
+frequency (shared across modes); each complex weight acts as one bmm with
+the real block ``[[W_re, -W_im], [W_im, W_re]]`` and each bias as the
+column ``[b_re; b_im]``.  One matmul with the table's transpose divided by
+H*W carries the result back: that is the real part of the inverse DFT.
+Frequencies outside the retained set are never formed: the operator is
+the one a full-grid FFT, the MLP at every frequency, a mode mask and an
+inverse FFT would give, but it needs no FFT and the grid may have any
+extent.  The tables are cached per grid, mode count and dtype.
 
 Retention rule: a mode with signed frequency (ky, kx) is kept when
 ``|ky| < modes`` and ``|kx| < modes`` (``mode_mask``).  The bias vectors
-are shared across retained modes.  The activation acts on real and
-imaginary parts independently.
+are shared across retained modes.  The activation acts elementwise on the
+stacked rows, so on the two parts of each complex value independently.
 
 When the activation is the identity and the biases are zero the layer is a
 matrix-valued Fourier multiplier, hence linear in the input and exactly
@@ -22,6 +28,8 @@ mixers.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -33,7 +41,7 @@ ACTIVATIONS = ("gelu", "relu", "identity")
 
 
 class FourierMixerParams:
-    """Complex per-head MLP weights stored as (real, imag) tensor pairs."""
+    """Complex per-head MLP weights stored as (re, im) tensor pairs."""
 
     def __init__(self, dim, heads, modes, w1_re, w1_im, b1_re, b1_im,
                  w2_re, w2_im, b2_re, b2_im):
@@ -87,11 +95,32 @@ def mode_mask(h: int, w: int, modes: int) -> np.ndarray:
     return (axis_keep(h)[:, None] & axis_keep(w)[None, :]).astype(np.float64)
 
 
-def _split_activation(y: Tensor, activation: str) -> Tensor:
-    if activation == "identity":
-        return y
-    act = ad.gelu if activation == "gelu" else ad.relu
-    return ad.make_complex(act(ad.real(y)), act(ad.imag(y)))
+@functools.lru_cache(maxsize=64)
+def _tables(h: int, w: int, modes: int, dtype: np.dtype) -> tuple:
+    """Read-only forward table ``[cos | -sin]`` of shape (h*w, 2R) over the
+    R retained modes, and its inverse, the transpose divided by h*w."""
+    # theta[j, r] = 2 pi (y_j ky_r / h + x_j kx_r / w); F = exp(-i theta)
+    ky, kx = np.nonzero(mode_mask(h, w, modes))
+    gy, gx = np.divmod(np.arange(h * w), w)
+    theta = 2 * np.pi * (np.outer(gy, ky) / h + np.outer(gx, kx) / w)
+    fwd = np.concatenate([np.cos(theta), -np.sin(theta)], axis=1).astype(dtype)
+    inv = np.ascontiguousarray(fwd.T / (h * w))
+    fwd.flags.writeable = False
+    inv.flags.writeable = False
+    return fwd, inv
+
+
+def _complex_weight(w_re: Tensor, w_im: Tensor) -> Tensor:
+    """(heads, 2*dh, 2*dh) real block [[W_re, -W_im], [W_im, W_re]]: one bmm
+    with it applies W to rows stacked as [re; im]."""
+    left = ad.concat([w_re, w_im], axis=1)
+    right = ad.concat([ad.neg(w_im), w_re], axis=1)
+    return ad.concat([left, right], axis=2)
+
+
+def _complex_bias(b_re: Tensor, b_im: Tensor) -> Tensor:
+    heads, dh = b_re.shape
+    return ad.reshape(ad.concat([b_re, b_im], axis=1), (heads, 2 * dh, 1))
 
 
 def fourier_mix(z: Tensor, params: FourierMixerParams, activation: str = "gelu") -> Tensor:
@@ -107,30 +136,22 @@ def fourier_mix(z: Tensor, params: FourierMixerParams, activation: str = "gelu")
         raise ShapeError(f"channel count {c} does not match mixer dim {params.dim}")
     heads = params.heads
     dh = c // heads
-    # F[j, r] = exp(-2 pi i (y_j ky_r / h + x_j kx_r / w)) over retained (ky, kx)
-    ky, kx = np.nonzero(mode_mask(h, w, params.modes))
-    gy, gx = np.divmod(np.arange(h * w), w)
-    f = np.exp(-2j * np.pi * (np.outer(gy, ky) / h + np.outer(gx, kx) / w))
-    f = f.astype(np.result_type(z.dtype, np.complex64))
-    r = f.shape[1]
+    fwd, inv = _tables(h, w, params.modes, z.dtype)
+    r = fwd.shape[1] // 2
 
-    zh = ad.matmul(ad.reshape(z, (b * c, h * w)), Tensor(f))
-    # (B*C, R) -> (heads, dh, B*R) for per-head channel contractions
-    zh = ad.reshape(zh, (b, heads, dh, r))
-    zh = ad.transpose(zh, (1, 2, 0, 3))
-    zh = ad.reshape(zh, (heads, dh, b * r))
+    zh = ad.matmul(ad.reshape(z, (b * c, h * w)), Tensor(fwd))
+    # (B*C, [re | im] x R) -> (heads, [re; im] x dh, B*R)
+    zh = ad.reshape(zh, (b, heads, dh, 2, r))
+    zh = ad.transpose(zh, (1, 3, 2, 0, 4))
+    zh = ad.reshape(zh, (heads, 2 * dh, b * r))
 
-    w1 = ad.make_complex(params.w1_re, params.w1_im)
-    b1 = ad.make_complex(params.b1_re, params.b1_im)
-    w2 = ad.make_complex(params.w2_re, params.w2_im)
-    b2 = ad.make_complex(params.b2_re, params.b2_im)
+    p = params
+    y = ad.bmm(_complex_weight(p.w1_re, p.w1_im), zh) + _complex_bias(p.b1_re, p.b1_im)
+    if activation != "identity":
+        y = (ad.gelu if activation == "gelu" else ad.relu)(y)
+    y = ad.bmm(_complex_weight(p.w2_re, p.w2_im), y) + _complex_bias(p.b2_re, p.b2_im)
 
-    y = ad.bmm(w1, zh) + ad.reshape(b1, (heads, dh, 1))
-    y = _split_activation(y, activation)
-    y = ad.bmm(w2, y) + ad.reshape(b2, (heads, dh, 1))
-
-    y = ad.reshape(y, (heads, dh, b, r))
-    y = ad.transpose(y, (2, 0, 1, 3))
-    y = ad.reshape(y, (b * c, r))
-    out = ad.real(ad.matmul(y, Tensor(np.conj(f).T / (h * w))))
-    return ad.reshape(out, z.shape)
+    y = ad.reshape(y, (heads, 2, dh, b, r))
+    y = ad.transpose(y, (3, 0, 2, 1, 4))
+    y = ad.reshape(y, (b * c, 2 * r))
+    return ad.reshape(ad.matmul(y, Tensor(inv)), z.shape)

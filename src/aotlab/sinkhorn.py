@@ -87,7 +87,6 @@ def sinkhorn_tensor(raw: Tensor, iters: int = 20) -> Tensor:
     as a single node (see the module docstring)."""
     raw = ad.as_tensor(raw)
     _check_input(raw.data, iters)
-    ad._require_real(raw, "sinkhorn")
     e = np.exp(raw.data)
     if not ad.tracking(raw):
         return Tensor(_project(e, iters))

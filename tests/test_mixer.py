@@ -7,7 +7,7 @@ from aotlab import autodiff as ad
 from aotlab import fft
 from aotlab.autodiff import Tape, Tensor
 from aotlab.errors import ShapeError
-from aotlab.mixer import FourierMixerParams, _split_activation, fourier_mix, mode_mask
+from aotlab.mixer import FourierMixerParams, _tables, fourier_mix, mode_mask
 
 from test_tensor import fd_grad
 
@@ -23,34 +23,70 @@ def make_params(dim, heads, modes, seed=0, scale=1.0, zero_bias=False, dtype=np.
     return p
 
 
+def gelu_np(v):
+    t = np.tanh(np.sqrt(2 / np.pi) * (v + 0.044715 * v**3))
+    return 0.5 * v * (1 + t)
+
+
 def fft_mask_reference(z, params, activation="gelu"):
-    """The full-grid mixer kept as the oracle: radix-2 FFT of the whole
-    token grid, the complex MLP at every frequency, the mode mask, the
-    inverse FFT and the real part.  Power-of-two grids only."""
+    """The full-grid mixer in numpy, kept as the value oracle: radix-2 FFT
+    of the whole token grid, the complex MLP at every frequency, the mode
+    mask, the inverse FFT and the real part.  Power-of-two grids only."""
     b, c, h, w = z.shape
-    heads = params.heads
-    dh = c // heads
-    mask = mode_mask(h, w, params.modes)
+    heads, dh = params.heads, c // params.heads
+    p = {name.rsplit(".", 1)[-1]: t.data for name, t in params.named("m").items()}
 
-    zh = fft.fft2(ad.make_complex(z, z * 0.0))
-    zh = ad.reshape(zh, (b, heads, dh, h, w))
-    zh = ad.transpose(zh, (1, 2, 0, 3, 4))
-    zh = ad.reshape(zh, (heads, dh, b * h * w))
+    def layer(x, k):
+        wc = p[f"w{k}_re"] + 1j * p[f"w{k}_im"]
+        bc = p[f"b{k}_re"] + 1j * p[f"b{k}_im"]
+        return np.einsum("gij,bgjyx->bgiyx", wc, x) + bc[None, :, :, None, None]
 
-    w1 = ad.make_complex(params.w1_re, params.w1_im)
-    b1 = ad.make_complex(params.b1_re, params.b1_im)
-    w2 = ad.make_complex(params.w2_re, params.w2_im)
-    b2 = ad.make_complex(params.b2_re, params.b2_im)
+    y = layer(fft.fft2_array(z.astype(complex)).reshape(b, heads, dh, h, w), 1)
+    if activation != "identity":
+        act = gelu_np if activation == "gelu" else (lambda v: np.maximum(v, 0.0))
+        y = act(y.real) + 1j * act(y.imag)
+    y = layer(y, 2).reshape(b, c, h, w) * mode_mask(h, w, params.modes)
+    return fft.ifft2_array(y).real
 
-    y = ad.bmm(w1, zh) + ad.reshape(b1, (heads, dh, 1))
-    y = _split_activation(y, activation)
-    y = ad.bmm(w2, y) + ad.reshape(b2, (heads, dh, 1))
 
-    y = ad.reshape(y, (heads, dh, b, h, w))
-    y = ad.transpose(y, (2, 0, 1, 3, 4))
-    y = ad.reshape(y, (b, c, h, w))
-    y = y * Tensor(mask)
-    return ad.real(fft.ifft2(y))
+def real_graph_reference(z, params, activation="gelu"):
+    """The mixer as a real op-by-op tape graph, kept as the gradient
+    oracle: separate cosine and sine DFT matmuls, and each complex layer
+    as four real bmms on separate re and im rows, with no concat."""
+    b, c, h, w = z.shape
+    heads, dh = params.heads, c // params.heads
+    ky, kx = np.nonzero(mode_mask(h, w, params.modes))
+    r = ky.size
+    gy, gx = np.divmod(np.arange(h * w), w)
+    theta = 2 * np.pi * (np.outer(gy, ky) / h + np.outer(gx, kx) / w)
+
+    def to_heads(t):  # (B*C, R) -> (heads, dh, B*R)
+        t = ad.transpose(ad.reshape(t, (b, heads, dh, r)), (1, 2, 0, 3))
+        return ad.reshape(t, (heads, dh, b * r))
+
+    def from_heads(t):  # (heads, dh, B*R) -> (B*C, R)
+        t = ad.transpose(ad.reshape(t, (heads, dh, b, r)), (2, 0, 1, 3))
+        return ad.reshape(t, (b * c, r))
+
+    def layer(re, im, w_re, w_im, b_re, b_im):
+        b_re = ad.reshape(b_re, (heads, dh, 1))
+        b_im = ad.reshape(b_im, (heads, dh, 1))
+        return (ad.bmm(w_re, re) - ad.bmm(w_im, im) + b_re,
+                ad.bmm(w_im, re) + ad.bmm(w_re, im) + b_im)
+
+    flat = ad.reshape(z, (b * c, h * w))
+    re = to_heads(ad.matmul(flat, Tensor(np.cos(theta))))
+    im = to_heads(ad.matmul(flat, Tensor(-np.sin(theta))))
+    p = params
+    re, im = layer(re, im, p.w1_re, p.w1_im, p.b1_re, p.b1_im)
+    if activation != "identity":
+        act = ad.gelu if activation == "gelu" else ad.relu
+        re, im = act(re), act(im)
+    re, im = layer(re, im, p.w2_re, p.w2_im, p.b2_re, p.b2_im)
+    # Re((re + i im) conj(F)^T) with conj(F) = cos + i sin
+    out = (ad.matmul(from_heads(re), Tensor(np.cos(theta).T))
+           - ad.matmul(from_heads(im), Tensor(np.sin(theta).T)))
+    return ad.reshape(out * (1.0 / (h * w)), z.shape)
 
 
 def identity_params(dim, heads, modes):
@@ -112,11 +148,7 @@ def test_zero_input_bias_path_closed_form():
     b1 = p.b1_re.data + 1j * p.b1_im.data
     b2 = p.b2_re.data + 1j * p.b2_im.data
 
-    def g(v):
-        t = np.tanh(np.sqrt(2 / np.pi) * (v + 0.044715 * v**3))
-        return 0.5 * v * (1 + t)
-
-    sb1 = g(b1.real) + 1j * g(b1.imag)
+    sb1 = gelu_np(b1.real) + 1j * gelu_np(b1.imag)
     coef = np.einsum("hij,hj->hi", w2, sb1) + b2  # per-channel spectrum value
     for h, w in [(8, 8), (3, 3), (6, 4)]:
         out = fourier_mix(Tensor(np.zeros((dim, h, w))), p, activation="gelu").numpy()
@@ -216,6 +248,17 @@ def test_single_precision_path():
     assert fourier_mix(Tensor(z.data[None]), p).dtype == np.float32
 
 
+def test_tables_are_cached_read_only_per_dtype():
+    fwd, inv = _tables(4, 6, 2, np.dtype(np.float32))
+    assert _tables(4, 6, 2, np.dtype(np.float32))[0] is fwd
+    assert fwd.shape == (24, 2 * 9) and inv.shape == (2 * 9, 24)
+    assert fwd.dtype == inv.dtype == np.float32
+    assert _tables(4, 6, 2, np.dtype(np.float64))[0].dtype == np.float64
+    for table in (fwd, inv):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+
 def test_shape_errors():
     p = make_params(4, 2, 2, seed=13)
     with pytest.raises(ShapeError):
@@ -276,7 +319,7 @@ def test_gradient_all_weight_tensors(activation):
 
 
 # ---------------------------------------------------------------------
-# retained-mode path against the full-grid FFT-plus-mask oracle
+# real-table path against the full-grid FFT-plus-mask and op-by-op oracles
 # ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("activation", ["gelu", "relu", "identity"])
@@ -284,12 +327,21 @@ def test_gradient_all_weight_tensors(activation):
                                          ((4, 4), 4), ((8, 4), 4)])
 def test_matches_fft_mask_oracle(activation, grid, modes):
     rng = np.random.default_rng(30)
-    z0 = rng.standard_normal((2, 4) + grid)
-    w = rng.standard_normal((2, 4) + grid)
+    z = rng.standard_normal((2, 4) + grid)
     p = make_params(4, 2, modes, seed=31)
+    np.testing.assert_allclose(fourier_mix(Tensor(z), p, activation=activation).numpy(),
+                               fft_mask_reference(z, p, activation), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("activation", ["gelu", "relu", "identity"])
+@pytest.mark.parametrize("grid, modes", [((4, 4), 2), ((4, 8), 3), ((3, 5), 2),
+                                         ((6, 6), 3), ((8, 4), 4)])
+def test_gradients_match_real_graph_oracle(activation, grid, modes):
+    rng = np.random.default_rng(32)
+    z0 = rng.standard_normal((2, 8) + grid)
+    w = rng.standard_normal((2, 8) + grid)
+    p = make_params(8, 2, modes, seed=33, scale=0.5)
     params = p.named("m")
-    for t in params.values():
-        t.requires_grad = True
 
     def run(mix):
         z = Tensor(z0.copy(), requires_grad=True)
@@ -302,10 +354,11 @@ def test_matches_fft_mask_oracle(activation, grid, modes):
         return out.numpy(), z.grad, grads
 
     out, gz, grads = run(fourier_mix)
-    ref_out, ref_gz, ref_grads = run(fft_mask_reference)
+    ref_out, ref_gz, ref_grads = run(real_graph_reference)
     np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-10)
     np.testing.assert_allclose(gz, ref_gz, rtol=0, atol=1e-10)
     assert len(grads) == 8
     for name in params:
+        assert np.abs(ref_grads[name]).max() > 1e-3 or name.endswith("b2_im"), name
         np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-10,
                                    err_msg=name)

@@ -343,9 +343,19 @@ def fd_entries(loss_fn, tensor, k=4, h=1e-6, seed=0):
 
 
 def test_every_parameter_class_has_fd_consistent_gradients():
-    model, cfg = make_model(seed=32, blocks=1)
+    """Gates at 0.5 and mixer weights and biases lifted off their 0.02-scale
+    and zero init, on a 4x4 token grid with two modes per axis, so that the
+    mixer's sine terms and every mixer parameter carry a gradient far above
+    the absolute floor; only the relative check can pass them.  The
+    exception is ``b2_im``: the retained modes come in +-k pairs, so a bias
+    added to the im rows of every mode has no real part after the inverse
+    transform and its gradient is identically zero."""
+    model, cfg = make_model(seed=32, blocks=1, patch=2, modes=2, gate_init=0.5)
     model.transform.set_mode("learned")
     rng = np.random.default_rng(33)
+    for name, t in model.named_tensors().items():
+        if ".mix.inner." in name:
+            t.data = 0.5 * rng.standard_normal(t.shape)
     u = window(rng, cfg)
     w = rng.standard_normal((1, 8, 8, 2))
 
@@ -366,6 +376,10 @@ def test_every_parameter_class_has_fd_consistent_gradients():
         scale = np.maximum(np.abs(num), 1e-12)
         ok = (err < 1e-4 * scale) | (err < 1e-7)
         assert ok.all(), f"{name}: fd {num}, got {got}"
+        if name.endswith(".b2_im"):
+            assert np.abs(t.grad).max() < 1e-12, name
+        elif ".mix.inner." in name:
+            assert np.abs(num).min() >= 100 * 1e-7, f"{name}: fd {num} near the floor"
 
 
 def test_three_by_three_token_grid_has_fd_consistent_gradients():
@@ -401,17 +415,19 @@ def test_three_by_three_token_grid_has_fd_consistent_gradients():
 
 def test_desk_training_step_tape_budget():
     """Each Sinkhorn projection and each GroupNorm is one tape node, and
-    each mixer enters and leaves the retained modes through one matmul
-    each, so a desk-config forward plus loss records 492 nodes (496 with
-    the full-grid FFT plus mask, 1360 with Sinkhorn and GroupNorm
-    unrolled too).  Node counts do not depend on the batch size."""
+    each mixer enters and leaves the retained modes through one real-table
+    matmul each and applies each complex layer as one bmm with a block
+    weight built by three concats, so a desk-config forward plus loss
+    records 496 nodes (492 with complex tensors on the tape, 1360 with
+    Sinkhorn and GroupNorm unrolled too).  Node counts do not depend on
+    the batch size."""
     cfg = ModelConfig()
     model = Model(cfg, np.random.default_rng(0), dtype=np.float32)
     u = window(np.random.default_rng(1), cfg, b=2).astype(np.float32)
     with Tape() as tape:
         pred = model.forward(Tensor(u))
         denoising_loss(pred, Tensor(np.zeros_like(pred.data)))
-    assert len(tape) == 492
+    assert len(tape) == 496
 
 
 def store_all_backward(tape, root):
@@ -424,8 +440,6 @@ def store_all_backward(tape, root):
         if not t.requires_grad:
             return
         g = ad._unbroadcast(g, t.data.shape)
-        if np.iscomplexobj(g) and not np.iscomplexobj(t.data):
-            g = np.ascontiguousarray(g.real)
         entry = store.get(id(t))
         if entry is None:
             store[id(t)] = [t, g.astype(t.data.dtype, copy=True)]

@@ -160,8 +160,10 @@ def test_non_finite_rejected():
 
 
 def test_complex_input_rejected():
+    """A complex raw matrix never reaches the projection: the tensor that
+    would carry it is refused."""
     with pytest.raises(ShapeError):
-        sinkhorn_tensor(Tensor(np.zeros((4, 4), dtype=complex)))
+        Tensor(np.zeros((4, 4), dtype=complex))
 
 
 def test_bad_iters_rejected():
