@@ -156,9 +156,6 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def numpy(self) -> np.ndarray:
         return self.data
 
@@ -207,17 +204,6 @@ class Tensor:
 
     def transpose(self, axes):
         return transpose(self, axes)
-
-    def backward(self) -> None:
-        tape = active_tape()
-        if tape is None:
-            raise RuntimeError("Tensor.backward() requires an active Tape")
-        tape.backward(self)
-
-
-def backward(root: Tensor) -> None:
-    """Free-function form of ``Tensor.backward`` (uses the active tape)."""
-    root.backward()
 
 
 def as_tensor(x) -> Tensor:

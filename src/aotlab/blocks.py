@@ -40,13 +40,10 @@ class Linear:
         self.b = b
 
     @classmethod
-    def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator,
-             dtype=np.float64, scale: float | None = None) -> "Linear":
-        if scale is None:
-            scale = np.sqrt(2.0 / in_dim)
-        w = Tensor((scale * rng.standard_normal((in_dim, out_dim))).astype(dtype),
+    def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator) -> "Linear":
+        w = Tensor(np.sqrt(2.0 / in_dim) * rng.standard_normal((in_dim, out_dim)),
                    requires_grad=True)
-        b = Tensor(np.zeros(out_dim, dtype=dtype), requires_grad=True)
+        b = Tensor(np.zeros(out_dim), requires_grad=True)
         return cls(w, b)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -79,9 +76,9 @@ class GroupNorm:
         self.eps = eps
 
     @classmethod
-    def init(cls, channels: int, groups: int, dtype=np.float64) -> "GroupNorm":
-        scale = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-        shift = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
+    def init(cls, channels: int, groups: int) -> "GroupNorm":
+        scale = Tensor(np.ones(channels), requires_grad=True)
+        shift = Tensor(np.zeros(channels), requires_grad=True)
         return cls(channels, groups, scale, shift)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -149,8 +146,8 @@ class ChannelMLP:
         self.lin2 = lin2
 
     @classmethod
-    def init(cls, dim: int, rng: np.random.Generator, dtype=np.float64) -> "ChannelMLP":
-        return cls(Linear.init(dim, dim, rng, dtype), Linear.init(dim, dim, rng, dtype))
+    def init(cls, dim: int, rng: np.random.Generator) -> "ChannelMLP":
+        return cls(Linear.init(dim, dim, rng), Linear.init(dim, dim, rng))
 
     def forward(self, x: Tensor) -> Tensor:
         b, c, h, w = x.shape
@@ -170,8 +167,8 @@ class MixerSubLayer:
         self.activation = activation
 
     @classmethod
-    def init(cls, dim, heads, modes, rng, dtype=np.float64, activation="gelu"):
-        return cls(FourierMixerParams.init(dim, heads, modes, rng, dtype), activation)
+    def init(cls, dim, heads, modes, rng, activation="gelu"):
+        return cls(FourierMixerParams.init(dim, heads, modes, rng), activation)
 
     def forward(self, x: Tensor) -> Tensor:
         return fourier_mix(x, self.params, activation=self.activation)
@@ -199,14 +196,11 @@ def lift(z: Tensor, n: int) -> Tensor:
 
 @dataclass
 class AotMaps:
-    """Constrained maps plus their raw pre-constraint values."""
+    """The three constrained maps of one sub-layer application."""
 
     a: Tensor            # (B, n), rows on the simplex
     d: Tensor            # (B, n), entries in (0, 2)
     t: Tensor            # (B, n, n), doubly stochastic to residual
-    raw_a: Tensor
-    raw_d: Tensor
-    raw_t: Tensor        # (B, n, n)
 
 
 class AotParams:
@@ -223,25 +217,24 @@ class AotParams:
 
     @classmethod
     def init(cls, n: int, channels: int, rng: np.random.Generator,
-             dtype=np.float64, gate_init: float = 0.01) -> "AotParams":
+             gate_init: float = 0.01) -> "AotParams":
         nc = n * channels
         scale = 1.0 / np.sqrt(nc)
 
         def phi(cols):
-            return Tensor((scale * rng.standard_normal((nc, cols))).astype(dtype),
-                          requires_grad=True)
+            return Tensor(scale * rng.standard_normal((nc, cols)), requires_grad=True)
 
         def gate():
-            return Tensor(np.asarray(gate_init, dtype=dtype), requires_grad=True)
+            return Tensor(gate_init, requires_grad=True)
 
         return cls(
             n, channels,
             phi_a=phi(n), phi_d=phi(n), phi_t=phi(n * n),
             alpha_a=gate(), alpha_d=gate(), alpha_t=gate(),
-            b_a=Tensor(np.zeros(n, dtype=dtype), requires_grad=True),
-            b_d=Tensor(np.zeros(n, dtype=dtype), requires_grad=True),
-            b_t=Tensor(np.eye(n, dtype=dtype).reshape(-1), requires_grad=True),
-            rms_scale=Tensor(np.ones(nc, dtype=dtype), requires_grad=True),
+            b_a=Tensor(np.zeros(n), requires_grad=True),
+            b_d=Tensor(np.zeros(n), requires_grad=True),
+            b_t=Tensor(np.eye(n).reshape(-1), requires_grad=True),
+            rms_scale=Tensor(np.ones(nc), requires_grad=True),
         )
 
     def named(self, prefix: str) -> dict:
@@ -265,16 +258,16 @@ def compute_maps(x: Tensor, params: AotParams, sinkhorn_iters: int = 20) -> AotM
     vec = ad.reshape(pooled, (b, n * c))
     vec = rms_norm(vec, params.rms_scale)
 
-    raw_a = params.alpha_a * ad.matmul(vec, params.phi_a) + params.b_a
-    raw_d = params.alpha_d * ad.matmul(vec, params.phi_d) + params.b_d
-    raw_t = ad.reshape(params.alpha_t * ad.matmul(vec, params.phi_t) + params.b_t,
-                       (b, n, n))
+    gated_a = params.alpha_a * ad.matmul(vec, params.phi_a) + params.b_a
+    gated_d = params.alpha_d * ad.matmul(vec, params.phi_d) + params.b_d
+    gated_t = ad.reshape(params.alpha_t * ad.matmul(vec, params.phi_t) + params.b_t,
+                         (b, n, n))
 
-    sa = ad.sigmoid(raw_a)
+    sa = ad.sigmoid(gated_a)
     a = sa / ad.tsum(sa, axis=-1, keepdims=True)
-    d = 2.0 * ad.sigmoid(raw_d)
-    t = sinkhorn_tensor(raw_t, iters=sinkhorn_iters)
-    return AotMaps(a=a, d=d, t=t, raw_a=raw_a, raw_d=raw_d, raw_t=raw_t)
+    d = 2.0 * ad.sigmoid(gated_d)
+    t = sinkhorn_tensor(gated_t, iters=sinkhorn_iters)
+    return AotMaps(a=a, d=d, t=t)
 
 
 def stream_mix(t: Tensor, x: Tensor) -> Tensor:
@@ -330,15 +323,15 @@ class AotSubLayer:
 
     @classmethod
     def init(cls, inner, n: int, channels: int, rng: np.random.Generator,
-             dtype=np.float64, gate_init: float = 0.01, sinkhorn_iters: int = 20,
+             gate_init: float = 0.01, sinkhorn_iters: int = 20,
              groups: int | None = None) -> "AotSubLayer":
         if groups is None:
             groups = default_groups(channels)
         return cls(
             inner,
-            AotParams.init(n, channels, rng, dtype, gate_init),
-            GroupNorm.init(channels, groups, dtype),
-            GroupNorm.init(channels, groups, dtype),
+            AotParams.init(n, channels, rng, gate_init),
+            GroupNorm.init(channels, groups),
+            GroupNorm.init(channels, groups),
             sinkhorn_iters,
         )
 

@@ -91,6 +91,11 @@ def _loaded_model(cfg: RunConfig, args: argparse.Namespace) -> Model:
     return model
 
 
+def _check_at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise UsageError(f"{name} must be at least {low}, got {value}")
+
+
 def _eval_dataset(cfg: RunConfig):
     path = cfg.test_manifest or cfg.manifest
     if not path:
@@ -103,6 +108,7 @@ def _eval_dataset(cfg: RunConfig):
 # ---------------------------------------------------------------------
 
 def cmd_gen_data(cfg: RunConfig, args: argparse.Namespace) -> None:
+    _check_at_least("--grid", cfg.grid, 1)
     names = cfg.family_list()
     by_name = {s.family: s for s in desk_specs(cfg.grid)}
     specs = [by_name[n] for n in names]
@@ -124,6 +130,7 @@ def cmd_gen_data(cfg: RunConfig, args: argparse.Namespace) -> None:
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> None:
     if args.mode == "frozen" and not args.transform_from:
         raise UsageError("--mode frozen requires --transform-from CHECKPOINT")
+    _check_at_least("--checkpoint-every", args.checkpoint_every, 0)
     if not cfg.manifest:
         raise UsageError("training needs a manifest; pass --manifest "
                          "or set [data] manifest")
@@ -161,6 +168,7 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_rollout(cfg: RunConfig, args: argparse.Namespace) -> None:
+    _check_at_least("--horizon", args.horizon, 0)
     ds, _ = _eval_dataset(cfg)
     if args.family not in ds.families:
         raise UsageError(f"family {args.family!r} not in dataset; "
@@ -180,9 +188,11 @@ def cmd_rollout(cfg: RunConfig, args: argparse.Namespace) -> None:
     res = rollout(model_predictor(model), window, horizon)
     nc = ds.native_by_family[args.family]
     steps = len(res.frames)
-    errors = [l2re(res.frames[s][..., :nc],
-                   traj[t_in + s][..., :nc].astype(model.dtype))
-              for s in range(min(steps, len(traj) - t_in))]
+    scored = min(steps, len(traj) - t_in)
+    truth = traj[t_in:t_in + scored, ..., :nc].astype(model.dtype)
+    # each frame is scored whole, as a one-sample batch
+    errors = [l2re(res.frames[s:s + 1, ..., :nc], truth[s:s + 1])
+              for s in range(scored)]
     aotd_path = os.path.join(cfg.out, "rollout.aotd")
     save_trajectory(aotd_path, res.frames[..., :nc].astype(np.float32),
                     args.family)
@@ -200,6 +210,7 @@ def cmd_rollout(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_gain(cfg: RunConfig, args: argparse.Namespace) -> None:
+    _check_at_least("--n-probe", args.n_probe, 1)
     ds, _ = _eval_dataset(cfg)
     if args.checkpoint:
         model = _loaded_model(cfg, args)
@@ -394,6 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if not exc.code else 1
     try:
         cfg = resolve_config(args.config, _flag_overrides(args))
+        _check_at_least("threads", cfg.threads, 1)
         _prepare_out(cfg)
         _HANDLERS[args.command](cfg, args)
         return 0

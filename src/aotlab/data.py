@@ -215,8 +215,6 @@ class TrajectoryDataset:
         self.trajectories = [pad_channels(t, c_max) for t in trajectories]
         self.labels = list(labels)
         self.c_max = c_max
-        h, w = next(iter(shapes))
-        self.mask = np.ones((h, w))
         self.families = sorted(set(labels))
         self._by_family = {fam: [i for i, lab in enumerate(labels) if lab == fam]
                            for fam in self.families}
@@ -318,18 +316,6 @@ class SamplingPlan:
             raise ValueError(f"plan has no weight for {', '.join(missing)}")
         w = np.array([self.weights[f] for f in families], dtype=np.float64)
         return w / w.sum()
-
-    def datapoint_probability(self, ds: TrajectoryDataset, family: str) -> float:
-        """Diagnostic per-datapoint weight w_k / (K * |D_k| * sum w).
-
-        Summed over all datapoints this equals 1/K, not 1; batch sampling
-        therefore uses the normalized family-level probabilities, which are
-        proportional to this quantity.
-        """
-        k = len(ds.families)
-        d_k = len(ds.family_indices(family))
-        total = sum(self.weights[f] for f in ds.families)
-        return self.weights[family] / (k * d_k * total)
 
 
 def sample_batch(ds: TrajectoryDataset, plan: SamplingPlan, batch: int,

@@ -9,7 +9,7 @@ the last one, with later sub-layers on the left of the product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,19 +23,15 @@ from .errors import NumericOverflowError, ShapeError
 # metric
 # ---------------------------------------------------------------------
 
-def l2re(pred: np.ndarray, truth: np.ndarray, batched: bool | None = None) -> float:
-    """Relative L2 error; per-sample ratio averaged over the leading axis.
-
-    1-D inputs are treated as a single sample unless ``batched`` says
-    otherwise.  A zero-norm truth sample makes the ratio undefined.
+def l2re(pred: np.ndarray, truth: np.ndarray) -> float:
+    """Relative L2 error ||p - t|| / ||t|| of each sample, averaged over the
+    samples.  The leading axis is always the batch: score a single frame
+    as ``l2re(pred[None], truth[None])``.  A zero-norm truth sample makes
+    the ratio undefined.
     """
     pred, truth = np.asarray(pred), np.asarray(truth)
     if pred.shape != truth.shape:
         raise ShapeError(f"pred shape {pred.shape} vs truth shape {truth.shape}")
-    if batched is None:
-        batched = pred.ndim > 1
-    if not batched:
-        pred, truth = pred[None], truth[None]
     b = pred.shape[0]
     diff = (pred - truth).reshape(b, -1).astype(np.float64)
     ref = truth.reshape(b, -1).astype(np.float64)
@@ -52,7 +48,6 @@ def l2re(pred: np.ndarray, truth: np.ndarray, batched: bool | None = None) -> fl
 @dataclass
 class RolloutResult:
     frames: np.ndarray            # (steps_completed, H, W, C)
-    errors: list = field(default_factory=list)
     blowup_step: int | None = None
 
 
@@ -64,24 +59,20 @@ def model_predictor(model):
     return predict
 
 
-def rollout(predict, initial_window: np.ndarray, horizon: int,
-            reference: np.ndarray | None = None, on_step=None) -> RolloutResult:
+def rollout(predict, initial_window: np.ndarray, horizon: int) -> RolloutResult:
     """Feed predictions back through a sliding window for ``horizon`` steps.
 
+    ``predict`` maps a (T_in, H, W, C) window to the next (H, W, C) frame.
     On numeric blow-up the partial trajectory is returned with the failing
-    step recorded.  ``on_step(step, window)`` fires before each prediction.
+    step recorded.  Callers score the frames themselves, e.g. with
+    ``l2re`` against a reference trajectory.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     window = np.array(initial_window)
-    if reference is not None and len(reference) < horizon:
-        raise ShapeError(f"reference has {len(reference)} frames, "
-                         f"horizon is {horizon}")
-    frames, errors = [], []
+    frames = []
     blowup = None
     for step in range(horizon):
-        if on_step is not None:
-            on_step(step, window)
         try:
             pred = predict(window)
         except NumericOverflowError:
@@ -91,14 +82,10 @@ def rollout(predict, initial_window: np.ndarray, horizon: int,
             blowup = step
             break
         frames.append(pred)
-        if reference is not None:
-            errors.append(l2re(pred, np.asarray(reference[step],
-                                                dtype=pred.dtype),
-                               batched=False))
         window = np.concatenate([window[1:], pred[None]])
     stacked = (np.stack(frames) if frames
                else np.empty((0,) + window.shape[1:], dtype=window.dtype))
-    return RolloutResult(stacked, errors, blowup)
+    return RolloutResult(stacked, blowup)
 
 
 # ---------------------------------------------------------------------

@@ -56,19 +56,18 @@ class FourierMixerParams:
         self.b2_re, self.b2_im = b2_re, b2_im
 
     @classmethod
-    def init(cls, dim: int, heads: int, modes: int, rng: np.random.Generator,
-             dtype=np.float64) -> "FourierMixerParams":
+    def init(cls, dim: int, heads: int, modes: int,
+             rng: np.random.Generator) -> "FourierMixerParams":
         if dim % heads != 0:
             raise ShapeError(f"dim {dim} not divisible by heads {heads}")
         dh = dim // heads
         scale = 0.02 / np.sqrt(dh)
 
         def w():
-            return Tensor((scale * rng.standard_normal((heads, dh, dh))).astype(dtype),
-                          requires_grad=True)
+            return Tensor(scale * rng.standard_normal((heads, dh, dh)), requires_grad=True)
 
         def b():
-            return Tensor(np.zeros((heads, dh), dtype=dtype), requires_grad=True)
+            return Tensor(np.zeros((heads, dh)), requires_grad=True)
 
         return cls(dim, heads, modes, w(), w(), b(), b(), w(), w(), b(), b())
 

@@ -79,13 +79,13 @@ class LinearTransformPair:
         self.mode = mode
 
     @classmethod
-    def init(cls, channels: int, mode: str = "vanilla", dtype=np.float64):
+    def init(cls, channels: int, mode: str = "vanilla"):
         trainable = mode == "learned"
         return cls(
-            Tensor(np.eye(channels, dtype=dtype), requires_grad=trainable),
-            Tensor(np.zeros(channels, dtype=dtype), requires_grad=trainable),
-            Tensor(np.eye(channels, dtype=dtype), requires_grad=trainable),
-            Tensor(np.zeros(channels, dtype=dtype), requires_grad=trainable),
+            Tensor(np.eye(channels), requires_grad=trainable),
+            Tensor(np.zeros(channels), requires_grad=trainable),
+            Tensor(np.eye(channels), requires_grad=trainable),
+            Tensor(np.zeros(channels), requires_grad=trainable),
             mode,
         )
 
@@ -156,29 +156,31 @@ class Model:
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float64,
                  transform_mode: str = "vanilla"):
         self.cfg = cfg
-        self.dtype = dtype
         c, dz, p = cfg.channels, cfg.d_z, cfg.patch
 
-        self.w_p = Tensor(np.zeros((c, 3), dtype=dtype), requires_grad=True)
-        self.patch = Linear.init(p * p * c, dz, rng, dtype)
-        self.t_mlp = ChannelMLP.init(dz, rng, dtype)
-        self.gamma = Tensor(np.zeros(dz, dtype=dtype), requires_grad=True)
+        # built in float64 and cast once at the end, which gives the same
+        # bits as casting each tensor as it is drawn
+        self.w_p = Tensor(np.zeros((c, 3)), requires_grad=True)
+        self.patch = Linear.init(p * p * c, dz, rng)
+        self.t_mlp = ChannelMLP.init(dz, rng)
+        self.gamma = Tensor(np.zeros(dz), requires_grad=True)
 
         self.block_sublayers: list[AotSubLayer] = []
         for _ in range(cfg.blocks):
-            mix = MixerSubLayer.init(dz, cfg.heads, cfg.modes, rng, dtype, cfg.activation)
+            mix = MixerSubLayer.init(dz, cfg.heads, cfg.modes, rng, cfg.activation)
             self.block_sublayers.append(AotSubLayer.init(
-                mix, cfg.streams, dz, rng, dtype, cfg.gate_init, cfg.sinkhorn_iters,
+                mix, cfg.streams, dz, rng, cfg.gate_init, cfg.sinkhorn_iters,
                 cfg.norm_groups()))
-            mlp = ChannelMLP.init(dz, rng, dtype)
+            mlp = ChannelMLP.init(dz, rng)
             self.block_sublayers.append(AotSubLayer.init(
-                mlp, cfg.streams, dz, rng, dtype, cfg.gate_init, cfg.sinkhorn_iters,
+                mlp, cfg.streams, dz, rng, cfg.gate_init, cfg.sinkhorn_iters,
                 cfg.norm_groups()))
 
-        self.w_readout = Tensor(np.zeros(cfg.streams, dtype=dtype), requires_grad=True)
-        self.head = Linear.init(dz, p * p * c, rng, dtype)
-        self.transform = LinearTransformPair.init(c, transform_mode, dtype)
+        self.w_readout = Tensor(np.zeros(cfg.streams), requires_grad=True)
+        self.head = Linear.init(dz, p * p * c, rng)
+        self.transform = LinearTransformPair.init(c, transform_mode)
         self._coord_cache: dict[int, np.ndarray] = {}
+        self.astype(dtype)
 
     # -- plumbing ------------------------------------------------------
     def named_tensors(self) -> dict:

@@ -31,9 +31,9 @@ from .errors import ShapeError
 class DoublyStochastic:
     """A (near-)doubly stochastic matrix with its projection metadata.
 
-    ``matrix`` holds a Tensor so the differentiable path can carry tape
-    history; use ``array`` for plain numpy access.  ``residual`` is the
-    largest absolute deviation of any row or column sum from 1.
+    ``matrix`` holds a Tensor with no tape history; use ``array`` for plain
+    numpy access.  ``residual`` is the largest absolute deviation of any
+    row or column sum from 1.
     """
 
     matrix: Tensor
@@ -50,6 +50,8 @@ class DoublyStochastic:
 
 
 def _check_input(data: np.ndarray, iters: int) -> None:
+    if data.dtype.kind == "c":
+        raise ShapeError(f"sinkhorn needs real matrices, got {data.dtype}")
     if data.ndim < 2 or data.shape[-1] != data.shape[-2]:
         raise ShapeError(f"sinkhorn needs square matrices, got shape {data.shape}")
     if not np.all(np.isfinite(data)):
@@ -116,13 +118,11 @@ def ds_residual(matrix: np.ndarray) -> float:
     return float(max(row_dev, col_dev))
 
 
-def sinkhorn_project(raw, iters: int = 20, differentiable: bool = False) -> DoublyStochastic:
-    """Project one n x n raw matrix; see module docstring for conventions."""
-    if differentiable:
-        t = sinkhorn_tensor(ad.as_tensor(raw), iters=iters)
-    else:
-        data = raw.data if isinstance(raw, Tensor) else raw
-        t = Tensor(sinkhorn_array(data, iters=iters))
+def sinkhorn_project(raw: np.ndarray, iters: int = 20) -> DoublyStochastic:
+    """Project one n x n raw array with ``sinkhorn_array`` and record its
+    residual.  The result carries no tape history; the differentiable path
+    is ``sinkhorn_tensor``."""
+    t = Tensor(sinkhorn_array(raw, iters=iters))
     if t.ndim != 2:
         raise ShapeError(f"sinkhorn_project takes a single matrix, got shape {t.shape}")
     return DoublyStochastic(matrix=t, iters_used=iters, residual=ds_residual(t.data))

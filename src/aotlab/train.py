@@ -322,7 +322,7 @@ class TrainResult:
 def train(model, train_ds: TrajectoryDataset, plan: SamplingPlan,
           cfg: TrainConfig, test_ds: TrajectoryDataset | None = None,
           out_dir: str | None = None, checkpoint_every: int = 0,
-          resume_from: str | None = None, log=None) -> TrainResult:
+          resume_from: str | None = None) -> TrainResult:
     """Run the denoising loop; optionally resume, validate, and checkpoint.
 
     On numeric blow-up the most recent epoch-boundary checkpoint is written
@@ -396,8 +396,6 @@ def train(model, train_ds: TrajectoryDataset, plan: SamplingPlan,
                     row[f"{fam}_l2re"] = val[fam]
                 result.metrics.append(row)
                 result.validation = val
-                if log is not None:
-                    log(row)
                 if out_dir:
                     last_good = snapshot("last_good.aotc")
                     if checkpoint_every and (epoch + 1) % checkpoint_every == 0:

@@ -32,7 +32,7 @@ from test_tensor import check_grad, fd_grad
 
 def const_maps(a, d, t):
     a, d, t = Tensor(a), Tensor(d), Tensor(t)
-    return AotMaps(a=a, d=d, t=t, raw_a=a, raw_d=d, raw_t=t)
+    return AotMaps(a=a, d=d, t=t)
 
 
 def random_state(rng, b=2, n=4, c=4, h=4, w=4):
@@ -145,8 +145,9 @@ def test_group_norm_gradient_matches_fd():
 
 def test_group_norm_without_tape_records_nothing(monkeypatch):
     rng = np.random.default_rng(10)
-    gn = GroupNorm.init(16, 4, dtype=np.float32)
-    gn.scale.data = rng.standard_normal(16).astype(np.float32)
+    gn = GroupNorm(16, 4,
+                   Tensor(rng.standard_normal(16).astype(np.float32), requires_grad=True),
+                   Tensor(np.zeros(16, dtype=np.float32), requires_grad=True))
     x = rng.standard_normal((2, 16, 4, 4)).astype(np.float32)
     want = group_norm_ops(gn, Tensor(x)).data
 

@@ -263,6 +263,12 @@ def test_rollout_artifacts_and_horizon_one(tiny_ini, trained, corpus,
     pred = model.forward(Tensor(traj[None, :3].astype(np.float32))).data[0]
     np.testing.assert_array_equal(frames[0], pred[..., :1])
 
+    # the CSV holds the whole frame's ||p - t|| / ||t||, native channels only
+    truth = traj[3][..., :1].astype(np.float32)
+    want = (np.linalg.norm((frames[0] - truth).astype(np.float64))
+            / np.linalg.norm(truth.astype(np.float64)))
+    assert float(lines[1].split(",")[1]) == pytest.approx(want, rel=1e-12)
+
 
 def test_rollout_bad_family_or_index(tiny_ini, trained, tmp_path):
     assert run("--config", tiny_ini, "--out", tmp_path / "a", "rollout",
@@ -271,6 +277,31 @@ def test_rollout_bad_family_or_index(tiny_ini, trained, tmp_path):
     assert run("--config", tiny_ini, "--out", tmp_path / "b", "rollout",
                "--checkpoint", trained / "checkpoint.aotc",
                "--family", "heat", "--index", 99) == 1
+
+
+TINY_GEN = ("gen-data", "--grid", 8, "--n-train", 1, "--n-test", 1)
+
+
+@pytest.mark.parametrize("run_section,argv", [
+    ("", ("train", "--checkpoint-every", -1)),
+    ("", ("rollout", "--checkpoint", "{ckpt}", "--family", "heat",
+          "--horizon", -5)),
+    ("", ("gain", "--n-probe", 0)),
+    ("", ("--threads", 0) + TINY_GEN),
+    ("", ("--threads", -3) + TINY_GEN),
+    ("threads = 0", TINY_GEN),
+    ("", TINY_GEN + ("--grid", 0)),
+], ids=["checkpoint-every", "horizon", "n-probe", "threads-zero",
+        "threads-negative", "run-section-threads", "grid"])
+def test_bad_numeric_flag_is_usage_error(tiny_ini, trained, tmp_path, capsys,
+                                         monkeypatch, run_section, argv):
+    monkeypatch.chdir(tmp_path)  # a command that wrongly runs writes here
+    ini = tmp_path / "run.ini"
+    ini.write_text(tiny_ini.read_text()
+                   + (f"\n[run]\n{run_section}\n" if run_section else ""))
+    argv = [str(a).format(ckpt=trained / "checkpoint.aotc") for a in argv]
+    assert run("--config", ini, "--out", tmp_path / "out", *argv) == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_gain_on_fresh_init_is_near_identity(tiny_ini, tmp_path):

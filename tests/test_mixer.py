@@ -14,8 +14,9 @@ from test_tensor import fd_grad
 
 def make_params(dim, heads, modes, seed=0, scale=1.0, zero_bias=False, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    p = FourierMixerParams.init(dim, heads, modes, rng, dtype=dtype)
+    p = FourierMixerParams.init(dim, heads, modes, rng)
     for name, t in p.named("m").items():
+        t.data = t.data.astype(dtype)
         if "w" in name.rsplit(".", 1)[-1]:
             t.data = t.data * (scale / 0.02)
         elif not zero_bias:

@@ -491,11 +491,20 @@ def test_f32_model_runs_entirely_in_f32():
 
 
 def test_astype_matches_f32_construction():
+    """Building at f32 gives every tensor the bits, dtype and trainability
+    of building at f64 and casting."""
     cfg = tiny_cfg()
-    a = Model(cfg, np.random.default_rng(5), dtype=np.float32)
-    b = Model(cfg, np.random.default_rng(5)).astype(np.float32)
     x = np.random.default_rng(6).standard_normal(
         (1, cfg.t_in, cfg.height, cfg.width, cfg.channels)).astype(np.float32)
-    oa = a.forward(Tensor(x)).data
-    ob = b.forward(Tensor(x)).data
-    np.testing.assert_array_equal(oa, ob)
+    for mode in ("vanilla", "learned"):
+        a = Model(cfg, np.random.default_rng(5), dtype=np.float32, transform_mode=mode)
+        b = Model(cfg, np.random.default_rng(5), transform_mode=mode).astype(np.float32)
+        ta, tb = a.named_tensors(), b.named_tensors()
+        assert list(ta) == list(tb)
+        for name, t in ta.items():
+            assert t.data.dtype == tb[name].data.dtype == np.float32, name
+            np.testing.assert_array_equal(t.data.view(np.uint32),
+                                          tb[name].data.view(np.uint32), err_msg=name)
+            assert t.requires_grad == tb[name].requires_grad, name
+        assert a.dtype == b.dtype == np.float32
+        np.testing.assert_array_equal(a.forward(Tensor(x)).data, b.forward(Tensor(x)).data)
