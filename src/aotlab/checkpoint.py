@@ -78,12 +78,16 @@ def _decode_blocks(r: Reader) -> dict:
 
 
 def save_checkpoint(path: str, cfg_hash: int, step: int, tensors: dict,
-                    opt_tensors: dict, rng_state: dict) -> None:
+                    opt_tensors: dict, rng_state: dict) -> list:
+    """Write a checkpoint; returns the chunks written, whose concatenation
+    is the file."""
     rng_bytes = json.dumps(rng_state, sort_keys=True).encode("utf-8")
     body = [struct.pack("<IQQ", AOTC_VERSION, cfg_hash, step),
             *_encode_blocks(tensors), *_encode_blocks(opt_tensors),
             struct.pack("<I", len(rng_bytes)), rng_bytes]
-    write_atomic(path, [AOTC_MAGIC, *body, struct.pack("<I", crc32(*body))])
+    chunks = [AOTC_MAGIC, *body, struct.pack("<I", crc32(*body))]
+    write_atomic(path, chunks)
+    return chunks
 
 
 def load_checkpoint(path: str) -> Checkpoint:

@@ -5,8 +5,9 @@ Global flags: --config PATH, --seed N, --out DIR, --threads N (used by
 gen-data only).  Exit codes: 0 success, 1 usage error, 2 runtime error, 3
 numeric blow-up.
 
-Every command resolves a RunConfig (defaults < config file < flags), echoes
-it to ``<out>/config.ini``, writes its report files into the output
+Every command resolves a RunConfig (defaults < config file < flags), checks
+every value in it (a bad one is a usage error, and nothing is written),
+echoes it to ``<out>/config.ini``, writes its report files into the output
 directory, and prints a short plain-text summary that is also saved as
 ``<out>/summary.txt``.  Every file is written atomically, text as UTF-8.
 """
@@ -41,9 +42,10 @@ from .diagnostics import (
     write_probe_features,
 )
 from .errors import FormatError, NumericOverflowError, ShapeError, UsageError
-from .model import TRANSFORM_MODES, Model
+from .model import TRANSFORM_MODES, Model, ModelConfig
 from .train import (
     STREAM_INIT,
+    TrainConfig,
     cross_transfer,
     load_model_state,
     load_transform,
@@ -78,15 +80,15 @@ def _summary(cfg: RunConfig, lines: list[str]) -> None:
     print("\n".join(lines))
 
 
-def _fresh_model(cfg: RunConfig, dtype_name: str, mode: str) -> Model:
-    return Model(cfg.model_config(), named_stream(cfg.seed, STREAM_INIT),
-                 dtype=_DTYPES[dtype_name], transform_mode=mode)
+def _fresh_model(cfg: RunConfig, args: argparse.Namespace) -> Model:
+    return Model(args.model_cfg, named_stream(cfg.seed, STREAM_INIT),
+                 dtype=_DTYPES[args.dtype], transform_mode=args.mode)
 
 
 def _loaded_model(cfg: RunConfig, args: argparse.Namespace) -> Model:
     if not args.checkpoint:
         raise UsageError("this command needs --checkpoint")
-    model = _fresh_model(cfg, args.dtype, args.mode)
+    model = _fresh_model(cfg, args)
     load_model_state(model, args.checkpoint)
     return model
 
@@ -94,6 +96,17 @@ def _loaded_model(cfg: RunConfig, args: argparse.Namespace) -> Model:
 def _check_at_least(name: str, value: int, low: int) -> None:
     if value < low:
         raise UsageError(f"{name} must be at least {low}, got {value}")
+
+
+def _checked_configs(cfg: RunConfig) -> tuple[ModelConfig, TrainConfig]:
+    """Check every run setting, so a bad value stops any command before
+    it writes a file."""
+    for key in ("threads", "grid", "n_train", "n_test"):
+        _check_at_least(key, getattr(cfg, key), 1)
+    try:
+        return cfg.model_config(), cfg.train_config()
+    except ValueError as exc:
+        raise UsageError(f"bad config: {exc}") from exc
 
 
 def _eval_dataset(cfg: RunConfig):
@@ -108,7 +121,6 @@ def _eval_dataset(cfg: RunConfig):
 # ---------------------------------------------------------------------
 
 def cmd_gen_data(cfg: RunConfig, args: argparse.Namespace) -> None:
-    _check_at_least("--grid", cfg.grid, 1)
     names = cfg.family_list()
     by_name = {s.family: s for s in desk_specs(cfg.grid)}
     specs = [by_name[n] for n in names]
@@ -136,10 +148,10 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> None:
                          "or set [data] manifest")
     train_ds, plan = load_dataset(cfg.manifest)
     test_ds = load_dataset(cfg.test_manifest)[0] if cfg.test_manifest else None
-    model = _fresh_model(cfg, args.dtype, args.mode)
+    model = _fresh_model(cfg, args)
     if args.mode == "frozen":
         load_transform(model, args.transform_from)
-    result = train(model, train_ds, plan, cfg.train_config(),
+    result = train(model, train_ds, plan, args.train_cfg,
                    test_ds=test_ds, out_dir=cfg.out,
                    checkpoint_every=args.checkpoint_every,
                    resume_from=args.resume)
@@ -216,7 +228,7 @@ def cmd_gain(cfg: RunConfig, args: argparse.Namespace) -> None:
         model = _loaded_model(cfg, args)
         origin = f"checkpoint {args.checkpoint}"
     else:
-        model = _fresh_model(cfg, args.dtype, args.mode)
+        model = _fresh_model(cfg, args)
         origin = f"fresh initialization (seed {cfg.seed})"
     n = min(args.n_probe, len(ds))
     windows = np.stack([ds.trajectories[i][:cfg.t_in] for i in range(n)])
@@ -260,8 +272,7 @@ def cmd_transform_exp(cfg: RunConfig, args: argparse.Namespace) -> None:
     primary = names[0]
     sub = family_subset(ds, primary)
     plan = SamplingPlan({primary: 1.0})
-    tcfg = cfg.train_config()
-    mcfg = cfg.model_config()
+    mcfg, tcfg = args.model_cfg, args.train_cfg
     finals = {}
     learned = os.path.join(cfg.out, "learned", "checkpoint.aotc")
     for mode in TRANSFORM_MODES:
@@ -405,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if not exc.code else 1
     try:
         cfg = resolve_config(args.config, _flag_overrides(args))
-        _check_at_least("threads", cfg.threads, 1)
+        args.model_cfg, args.train_cfg = _checked_configs(cfg)
         _prepare_out(cfg)
         _HANDLERS[args.command](cfg, args)
         return 0

@@ -1,14 +1,19 @@
 """Run configuration: defaults, config-file overrides, and flag overrides.
 
-A run is described by one flat dataclass covering the model shape, the
-training hyperparameters, the dataset layout, and the run plumbing (output
-directory, seed, thread count).  Values resolve in fixed priority order:
-built-in defaults, then the config file, then command-line flags.  The fully
-resolved configuration is echoed to the output directory in the same format
-it is read from, so an echo can be fed back as a config file to reproduce
-the run.
+A run is described by one flat dataclass, ``RunConfig``, whose fields come
+in four ``[section]``s: ``[model]`` holds the fields of ``ModelConfig`` and
+``[train]`` those of ``TrainConfig`` except ``seed``, each with the name,
+type and default declared there; ``[data]`` (dataset layout) and ``[run]``
+(output directory, ``seed``, thread count) are declared here.  Values
+resolve in fixed priority order: built-in defaults, then the config file,
+then command-line flags.  Resolving checks only that every key is known and
+every value parses as its field's type; ``model_config()`` and
+``train_config()`` check the values themselves.  The fully resolved
+configuration is echoed to the output directory in the same format it is
+read from, so an echo can be fed back as a config file to reproduce the run.
 
-The file format is flat ``key = value`` pairs under ``[section]`` headers.
+The file format is flat ``key = value`` pairs under ``[section]`` headers;
+``none`` (or an empty value) sets an optional field to None.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import os
-from dataclasses import dataclass
 
 from .container import write_lines
 from .data import FAMILIES
@@ -32,66 +36,40 @@ __all__ = [
 ]
 
 
-@dataclass
-class RunConfig:
-    """Flat union of model, training, dataset, and run settings."""
+def _specs(cls) -> dict[str, tuple]:
+    return {f.name: (f.name, f.type, f.default) for f in dataclasses.fields(cls)}
 
-    # model
-    height: int = 32
-    width: int = 32
-    channels: int = 2
-    t_in: int = 10
-    patch: int = 8
-    d_z: int = 64
-    heads: int = 4
-    modes: int = 2
-    blocks: int = 4
-    streams: int = 4
-    sinkhorn_iters: int = 20
-    gate_init: float = 0.01
-    groups: int | None = None
-    activation: str = "gelu"
-    # train
-    epochs: int = 50
-    steps_per_epoch: int = 100
-    batch: int = 8
-    peak_lr: float = 1e-3
-    warmup_epochs: int = 10
-    weight_decay: float = 1e-6
-    beta1: float = 0.9
-    beta2: float = 0.9
-    eps: float = 1e-8
-    noise: float = 5e-4
-    clip_norm: float | None = 1.0
-    # data
-    root: str = "data"
-    manifest: str = ""
-    test_manifest: str = ""
-    n_train: int = 64
-    n_test: int = 16
-    grid: int = 32
-    families: str = ",".join(FAMILIES)
-    # run
-    out: str = "run_out"
-    seed: int = 0
-    threads: int = 1
 
+_TRAIN = _specs(TrainConfig)
+_SEED = _TRAIN.pop("seed")
+
+# section -> (name, type, default) of each key, in file order
+_FIELDS: dict[str, list[tuple]] = {
+    "model": list(_specs(ModelConfig).values()),
+    "train": list(_TRAIN.values()),
+    "data": [("root", "str", "data"), ("manifest", "str", ""),
+             ("test_manifest", "str", ""), ("n_train", "int", 64),
+             ("n_test", "int", 16), ("grid", "int", 32),
+             ("families", "str", ",".join(FAMILIES))],
+    "run": [("out", "str", "run_out"), _SEED, ("threads", "int", 1)],
+}
+_SECTIONS = {sec: tuple(spec[0] for spec in specs)
+             for sec, specs in _FIELDS.items()}
+_PARSERS = {"int": int, "float": float, "str": str}
+
+
+def _pick(cls, cfg):
+    return cls(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls)})
+
+
+class _RunMethods:
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            height=self.height, width=self.width, channels=self.channels,
-            t_in=self.t_in, patch=self.patch, d_z=self.d_z, heads=self.heads,
-            modes=self.modes, blocks=self.blocks, streams=self.streams,
-            sinkhorn_iters=self.sinkhorn_iters, gate_init=self.gate_init,
-            groups=self.groups, activation=self.activation)
+        """The run's ModelConfig; its constructor checks the values."""
+        return _pick(ModelConfig, self)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs, steps_per_epoch=self.steps_per_epoch,
-            batch=self.batch, peak_lr=self.peak_lr,
-            warmup_epochs=self.warmup_epochs,
-            weight_decay=self.weight_decay, betas=(self.beta1, self.beta2),
-            eps=self.eps, noise=self.noise, clip_norm=self.clip_norm,
-            seed=self.seed)
+        """The run's TrainConfig; its constructor checks the values."""
+        return _pick(TrainConfig, self)
 
     def family_list(self) -> list[str]:
         names = [f.strip() for f in self.families.split(",") if f.strip()]
@@ -107,20 +85,12 @@ class RunConfig:
         return names
 
 
-_SECTIONS: dict[str, tuple[str, ...]] = {
-    "model": ("height", "width", "channels", "t_in", "patch", "d_z", "heads",
-              "modes", "blocks", "streams", "sinkhorn_iters", "gate_init",
-              "groups", "activation"),
-    "train": ("epochs", "steps_per_epoch", "batch", "peak_lr",
-              "warmup_epochs", "weight_decay", "beta1", "beta2", "eps",
-              "noise", "clip_norm"),
-    "data": ("root", "manifest", "test_manifest", "n_train", "n_test",
-             "grid", "families"),
-    "run": ("out", "seed", "threads"),
-}
-
-_SECTION_OF = {key: sec for sec, keys in _SECTIONS.items() for key in keys}
-_OPTIONAL = {"groups", "clip_norm"}
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig", [spec for specs in _FIELDS.values() for spec in specs],
+    bases=(_RunMethods,),
+    namespace={"__module__": __name__,
+               "__doc__": "Flat union of model, training, dataset, and run "
+                          "settings."})
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
@@ -128,22 +98,14 @@ def _coerce(key: str, value):
     """Parse a raw override into the field's declared type."""
     if key not in _FIELD_TYPES:
         raise UsageError(f"unknown config key {key!r}")
-    if not isinstance(value, str):
-        return value
-    text = value.strip()
-    if key in _OPTIONAL:
-        if text.lower() in ("none", ""):
-            return None
-        return int(text) if key == "groups" else float(text)
-    base = _FIELD_TYPES[key]
+    text = str(value).strip()
+    base, _, optional = _FIELD_TYPES[key].partition(" | ")
+    if optional and text.lower() in ("none", ""):
+        return None
     try:
-        if base == "int":
-            return int(text)
-        if base == "float":
-            return float(text)
+        return _PARSERS[base](text)
     except ValueError:
         raise UsageError(f"config key {key!r} expects {base}, got {text!r}")
-    return text
 
 
 def load_config_file(path: str) -> dict[str, object]:

@@ -8,7 +8,7 @@ order: the Fourier token mixer, then a pointwise channel MLP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .blocks import (
     readout,
 )
 from .errors import NumericOverflowError, ShapeError
+from .mixer import ACTIVATIONS, mode_mask
 
 
 @dataclass
@@ -44,11 +45,21 @@ class ModelConfig:
     activation: str = "gelu"
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "int" and getattr(self, f.name) < 1:
+                raise ShapeError(f"{f.name} must be at least 1, "
+                                 f"got {getattr(self, f.name)}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}; "
+                             f"options: {', '.join(ACTIVATIONS)}")
         if self.height % self.patch or self.width % self.patch:
             raise ShapeError(f"grid ({self.height}, {self.width}) not divisible "
                              f"by patch {self.patch}")
         if self.d_z % self.heads:
             raise ShapeError(f"d_z {self.d_z} not divisible by heads {self.heads}")
+        if self.groups is not None and (self.groups < 1 or self.d_z % self.groups):
+            raise ShapeError(f"groups must divide d_z {self.d_z}, got {self.groups}")
+        mode_mask(self.token_h, self.token_w, self.modes)
 
     @property
     def token_h(self) -> int:
@@ -179,7 +190,7 @@ class Model:
         self.w_readout = Tensor(np.zeros(cfg.streams), requires_grad=True)
         self.head = Linear.init(dz, p * p * c, rng)
         self.transform = LinearTransformPair.init(c, transform_mode)
-        self._coord_cache: dict[int, np.ndarray] = {}
+        self._coord_cache: np.ndarray | None = None
         self.astype(dtype)
 
     # -- plumbing ------------------------------------------------------
@@ -202,7 +213,7 @@ class Model:
         self.dtype = dtype
         for t in self.named_tensors().values():
             t.data = t.data.astype(dtype)
-        self._coord_cache.clear()
+        self._coord_cache = None
         return self
 
     def param_count(self) -> int:
@@ -215,30 +226,33 @@ class Model:
             total += sum(t.size for t in sub.params.named("x").values())
         return total
 
-    def _coords(self, t_in: int) -> np.ndarray:
-        cached = self._coord_cache.get(t_in)
-        if cached is not None:
-            return cached
-        h, w = self.cfg.height, self.cfg.width
+    def _coords(self) -> np.ndarray:
+        """(T_in * H * W, 3) normalized (x, y) and frame index of every node."""
+        if self._coord_cache is not None:
+            return self._coord_cache
+        h, w, t_in = self.cfg.height, self.cfg.width, self.cfg.t_in
         xs = np.arange(h) / (h - 1) if h > 1 else np.zeros(1)
         ys = np.arange(w) / (w - 1) if w > 1 else np.zeros(1)
         grid = np.empty((t_in, h, w, 3))
         grid[..., 0] = xs[None, :, None]
         grid[..., 1] = ys[None, None, :]
         grid[..., 2] = np.arange(t_in, dtype=float)[:, None, None]
-        flat = grid.reshape(-1, 3).astype(self.dtype)
-        self._coord_cache[t_in] = flat
-        return flat
+        self._coord_cache = grid.reshape(-1, 3).astype(self.dtype)
+        return self._coord_cache
 
     # -- stages --------------------------------------------------------
-    def embed(self, u: Tensor) -> Tensor:
-        """(B, T, H, W, C) window -> (B, T, d_z, H', W') token stack."""
+    def _check_window(self, u: Tensor) -> None:
         cfg = self.cfg
-        if u.ndim != 5 or u.shape[2:] != (cfg.height, cfg.width, cfg.channels):
-            raise ShapeError(f"window shape {u.shape} does not match config grid "
-                             f"({cfg.height}, {cfg.width}, {cfg.channels})")
+        want = (cfg.t_in, cfg.height, cfg.width, cfg.channels)
+        if u.ndim != 5 or u.shape[1:] != want:
+            raise ShapeError(f"window shape {u.shape} is not (B,) + {want}")
+
+    def embed(self, u: Tensor) -> Tensor:
+        """(B, T_in, H, W, C) window -> (B, T_in, d_z, H', W') token stack."""
+        cfg = self.cfg
+        self._check_window(u)
         b, t = u.shape[0], u.shape[1]
-        pos = ad.matmul(Tensor(self._coords(t)), ad.transpose(self.w_p, (1, 0)))
+        pos = ad.matmul(Tensor(self._coords()), ad.transpose(self.w_p, (1, 0)))
         u = u + ad.reshape(pos, (1, t, cfg.height, cfg.width, cfg.channels))
 
         p, hp, wp = cfg.patch, cfg.token_h, cfg.token_w
@@ -259,18 +273,27 @@ class Model:
         x = ad.transpose(x, (0, 1, 3, 2, 4, 5))
         return ad.reshape(x, (b, cfg.height, cfg.width, cfg.channels))
 
-    def forward(self, u: Tensor, strict_identity: bool = False,
-                collect_maps: list | None = None) -> Tensor:
-        """Predict the next frame from a (B, T_in, H, W, C) window."""
+    def _encode(self, u: Tensor) -> Tensor:
+        """Checked window (a batch axis is added to a single one) through the
+        input transform, patch embedding and temporal aggregation."""
         u = ad.as_tensor(u)
         if u.ndim == 4:
             u = ad.reshape(u, (1,) + u.shape)
-        if u.shape[1] != self.cfg.t_in:
-            raise ShapeError(f"window has {u.shape[1]} frames, config wants {self.cfg.t_in}")
+        self._check_window(u)
         if self.transform.active:
             u = apply_linear_transform(u, self.transform, "in")
-        z = self.embed(u)
-        z = temporal_aggregate(z, self.t_mlp, self.gamma)
+        return temporal_aggregate(self.embed(u), self.t_mlp, self.gamma)
+
+    def _decode(self, z: Tensor) -> Tensor:
+        out = self.depatch(z)
+        if self.transform.active:
+            out = apply_linear_transform(out, self.transform, "out")
+        return out
+
+    def forward(self, u: Tensor, strict_identity: bool = False,
+                collect_maps: list | None = None) -> Tensor:
+        """Predict the next frame from a (B, T_in, H, W, C) window."""
+        z = self._encode(u)
         self._check_finite(z, "embed/temporal")
         state = lift(z, self.cfg.streams)
         for i, sub in enumerate(self.block_sublayers):
@@ -278,29 +301,17 @@ class Model:
             if collect_maps is not None:
                 collect_maps.append(maps)
             self._check_finite(state, f"block {i // 2} sublayer {i % 2}")
-        out = readout(state, self.w_readout)
-        out = self.depatch(out)
-        if self.transform.active:
-            out = apply_linear_transform(out, self.transform, "out")
+        out = self._decode(readout(state, self.w_readout))
         self._check_finite(out, "head")
         return out
 
     def reference_forward(self, u: Tensor) -> Tensor:
         """Single-stream residual network sharing this model's weights;
         comparison target for the strict-identity mode."""
-        u = ad.as_tensor(u)
-        if u.ndim == 4:
-            u = ad.reshape(u, (1,) + u.shape)
-        if self.transform.active:
-            u = apply_linear_transform(u, self.transform, "in")
-        z = self.embed(u)
-        z = temporal_aggregate(z, self.t_mlp, self.gamma)
+        z = self._encode(u)
         for sub in self.block_sublayers:
             z = sub.reference_forward(z)
-        out = self.depatch(z)
-        if self.transform.active:
-            out = apply_linear_transform(out, self.transform, "out")
-        return out
+        return self._decode(z)
 
     @staticmethod
     def _check_finite(t: Tensor, where: str) -> None:

@@ -31,22 +31,17 @@ from .errors import ShapeError
 class DoublyStochastic:
     """A (near-)doubly stochastic matrix with its projection metadata.
 
-    ``matrix`` holds a Tensor with no tape history; use ``array`` for plain
-    numpy access.  ``residual`` is the largest absolute deviation of any
-    row or column sum from 1.
+    ``residual`` is the largest absolute deviation of any row or column sum
+    of ``array`` from 1.
     """
 
-    matrix: Tensor
+    array: np.ndarray
     iters_used: int
     residual: float
 
     @property
-    def array(self) -> np.ndarray:
-        return self.matrix.data
-
-    @property
     def n(self) -> int:
-        return self.matrix.shape[-1]
+        return self.array.shape[-1]
 
 
 def _check_input(data: np.ndarray, iters: int) -> None:
@@ -122,10 +117,10 @@ def sinkhorn_project(raw: np.ndarray, iters: int = 20) -> DoublyStochastic:
     """Project one n x n raw array with ``sinkhorn_array`` and record its
     residual.  The result carries no tape history; the differentiable path
     is ``sinkhorn_tensor``."""
-    t = Tensor(sinkhorn_array(raw, iters=iters))
-    if t.ndim != 2:
-        raise ShapeError(f"sinkhorn_project takes a single matrix, got shape {t.shape}")
-    return DoublyStochastic(matrix=t, iters_used=iters, residual=ds_residual(t.data))
+    m = sinkhorn_array(raw, iters=iters)
+    if m.ndim != 2:
+        raise ShapeError(f"sinkhorn_project takes a single matrix, got shape {m.shape}")
+    return DoublyStochastic(m, iters_used=iters, residual=ds_residual(m))
 
 
 def sinkhorn_residual_trace(raw: np.ndarray, iters: int = 20) -> np.ndarray:
@@ -152,7 +147,7 @@ def ds_compose(chain: list) -> DoublyStochastic:
     for ds in chain[1:]:
         prod = ds.array @ prod
     return DoublyStochastic(
-        matrix=Tensor(prod),
+        prod,
         iters_used=sum(ds.iters_used for ds in chain),
         residual=ds_residual(prod),
     )

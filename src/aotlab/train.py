@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .checkpoint import config_hash, load_checkpoint, save_checkpoint
-from .container import write_lines
+from .container import write_atomic, write_lines
 from .data import SamplingPlan, TrajectoryDataset, family_subset, sample_batch
 from .errors import FormatError, NumericOverflowError, ShapeError
 from .model import TRANSFORM_MODES, Model, ModelConfig
@@ -44,7 +44,8 @@ class TrainConfig:
     peak_lr: float = 1e-3
     warmup_epochs: int = 10
     weight_decay: float = 1e-6
-    betas: tuple = (0.9, 0.9)
+    beta1: float = 0.9
+    beta2: float = 0.9
     eps: float = 1e-8
     noise: float = 5e-4
     clip_norm: float | None = 1.0
@@ -60,8 +61,13 @@ class TrainConfig:
             raise ValueError("peak_lr must be positive")
         if self.noise < 0:
             raise ValueError("noise scale must be nonnegative")
-        if not all(0 <= b < 1 for b in self.betas):
-            raise ValueError(f"betas must lie in [0, 1), got {self.betas}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError(f"beta1 and beta2 must lie in [0, 1), "
+                             f"got {self.beta1} and {self.beta2}")
+        if self.clip_norm is not None and self.clip_norm <= 0:
+            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 # ---------------------------------------------------------------------
@@ -199,8 +205,9 @@ class AdamW:
 # ---------------------------------------------------------------------
 
 def save_training_checkpoint(path: str, model, opt: AdamW, step: int,
-                             data_rng, noise_rng) -> None:
-    save_checkpoint(
+                             data_rng, noise_rng) -> list:
+    """Write a resumable checkpoint; returns the encoded chunks."""
+    return save_checkpoint(
         path, config_hash(model.cfg), step,
         {k: t.data for k, t in model.named_tensors().items()},
         opt.state_blocks(),
@@ -333,7 +340,7 @@ def train(model, train_ds: TrajectoryDataset, plan: SamplingPlan,
     params = model.trainable_tensors()
     if not params:
         raise ValueError("model has no trainable parameters")
-    opt = AdamW(params, cfg.betas, cfg.eps, cfg.weight_decay)
+    opt = AdamW(params, (cfg.beta1, cfg.beta2), cfg.eps, cfg.weight_decay)
     data_rng = named_stream(cfg.seed, STREAM_DATA)
     noise_rng = named_stream(cfg.seed, STREAM_NOISE)
 
@@ -352,11 +359,14 @@ def train(model, train_ds: TrajectoryDataset, plan: SamplingPlan,
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
-    def snapshot(name: str) -> str:
-        path = os.path.join(out_dir, name)
-        save_training_checkpoint(path, model, opt, result.step,
-                                 data_rng, noise_rng)
-        return path
+    def snapshot(*names: str) -> str:
+        """Encode the current state once and write it under every name."""
+        paths = [os.path.join(out_dir, name) for name in names]
+        chunks = save_training_checkpoint(paths[0], model, opt, result.step,
+                                          data_rng, noise_rng)
+        for path in paths[1:]:
+            write_atomic(path, chunks)
+        return paths[0]
 
     def write_metrics() -> None:
         write_metrics_csv(os.path.join(out_dir, "metrics.csv"),
@@ -397,9 +407,12 @@ def train(model, train_ds: TrajectoryDataset, plan: SamplingPlan,
                 result.metrics.append(row)
                 result.validation = val
                 if out_dir:
-                    last_good = snapshot("last_good.aotc")
+                    names = ["last_good.aotc"]
                     if checkpoint_every and (epoch + 1) % checkpoint_every == 0:
-                        snapshot(f"checkpoint_{epoch:04d}.aotc")
+                        names.append(f"checkpoint_{epoch:04d}.aotc")
+                    if result.step == total:
+                        names.append("checkpoint.aotc")
+                    last_good = snapshot(*names)
     except NumericOverflowError:
         if out_dir:
             if last_good is None:
@@ -408,7 +421,9 @@ def train(model, train_ds: TrajectoryDataset, plan: SamplingPlan,
         raise
 
     if out_dir:
-        result.checkpoint_path = snapshot("checkpoint.aotc")
+        result.checkpoint_path = os.path.join(out_dir, "checkpoint.aotc")
+        if start >= total:  # no step ran, so no epoch wrote the final state
+            snapshot("checkpoint.aotc")
         write_metrics()
     return result
 

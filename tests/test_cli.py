@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 
+import configparser
 import os
 
 import numpy as np
@@ -148,6 +149,59 @@ def test_config_echo_is_utf8_and_refeeds(tmp_path):
     assert resolve_config(path).root == "données"
 
 
+DEFAULT_ECHO = """\
+# resolved run configuration
+[model]
+height = 32
+width = 32
+channels = 2
+t_in = 10
+patch = 8
+d_z = 64
+heads = 4
+modes = 2
+blocks = 4
+streams = 4
+sinkhorn_iters = 20
+gate_init = 0.01
+groups = none
+activation = gelu
+
+[train]
+epochs = 50
+steps_per_epoch = 100
+batch = 8
+peak_lr = 0.001
+warmup_epochs = 10
+weight_decay = 1e-06
+beta1 = 0.9
+beta2 = 0.9
+eps = 1e-08
+noise = 0.0005
+clip_norm = 1.0
+
+[data]
+root = data
+manifest = {empty}
+test_manifest = {empty}
+n_train = 64
+n_test = 16
+grid = 32
+families = heat,diffusion_reaction,ns_vorticity
+
+[run]
+out = run_out
+seed = 0
+threads = 1
+""".format(empty="")
+
+
+def test_default_config_echo_is_pinned(tmp_path):
+    path = tmp_path / "config.ini"
+    write_config(RunConfig(), str(path))
+    assert path.read_bytes() == DEFAULT_ECHO.encode("utf-8")
+
+
 def test_help_and_bad_subcommand_exit_codes(capsys):
     assert run("--help") == 0
     assert run("definitely-not-a-command") == 1
@@ -282,26 +336,49 @@ def test_rollout_bad_family_or_index(tiny_ini, trained, tmp_path):
 TINY_GEN = ("gen-data", "--grid", 8, "--n-train", 1, "--n-test", 1)
 
 
-@pytest.mark.parametrize("run_section,argv", [
-    ("", ("train", "--checkpoint-every", -1)),
-    ("", ("rollout", "--checkpoint", "{ckpt}", "--family", "heat",
-          "--horizon", -5)),
-    ("", ("gain", "--n-probe", 0)),
-    ("", ("--threads", 0) + TINY_GEN),
-    ("", ("--threads", -3) + TINY_GEN),
-    ("threads = 0", TINY_GEN),
-    ("", TINY_GEN + ("--grid", 0)),
+@pytest.mark.parametrize("setting,argv", [
+    (None, ("train", "--checkpoint-every", -1)),
+    (None, ("rollout", "--checkpoint", "{ckpt}", "--family", "heat",
+            "--horizon", -5)),
+    (None, ("gain", "--n-probe", 0)),
+    (None, ("--threads", 0) + TINY_GEN),
+    (None, ("--threads", -3) + TINY_GEN),
+    (("run", "threads", "0"), TINY_GEN),
+    (None, TINY_GEN + ("--grid", 0)),
+    (("model", "patch", "0"), ("train",)),
+    (("model", "heads", "0"), ("train",)),
+    (("model", "groups", "eight"), ("train",)),
+    (("train", "clip_norm", "big"), ("train",)),
+    (("train", "epochs", "0"), ("train",)),
+    (None, ("train", "--epochs", 0)),
+    (("train", "warmup_epochs", "99"), TINY_GEN),
+    (("data", "n_test", "0"), ("train",)),
 ], ids=["checkpoint-every", "horizon", "n-probe", "threads-zero",
-        "threads-negative", "run-section-threads", "grid"])
+        "threads-negative", "run-section-threads", "grid", "patch-zero",
+        "heads-zero", "groups-word", "clip-norm-word", "epochs-zero",
+        "epochs-flag-zero", "warmup-past-epochs", "n-test-zero"])
 def test_bad_numeric_flag_is_usage_error(tiny_ini, trained, tmp_path, capsys,
-                                         monkeypatch, run_section, argv):
+                                         monkeypatch, setting, argv):
     monkeypatch.chdir(tmp_path)  # a command that wrongly runs writes here
-    ini = tmp_path / "run.ini"
-    ini.write_text(tiny_ini.read_text()
-                   + (f"\n[run]\n{run_section}\n" if run_section else ""))
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(tiny_ini)
+    if setting:
+        section, key, value = setting
+        parser.read_dict({section: {key: value}})
+    with open(tmp_path / "run.ini", "w") as fh:
+        parser.write(fh)
     argv = [str(a).format(ckpt=trained / "checkpoint.aotc") for a in argv]
-    assert run("--config", ini, "--out", tmp_path / "out", *argv) == 1
+    assert run("--config", tmp_path / "run.ini", "--out", tmp_path / "out",
+               *argv) == 1
     assert "usage error" in capsys.readouterr().err
+    # a bad config value, from the file or a flag, stops every command
+    # before it writes anything; a command checks its own flags after the
+    # config echo
+    left = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")}
+    if {"--checkpoint-every", "--horizon", "--n-probe"}.isdisjoint(argv):
+        assert left == {"run.ini"}
+    else:
+        assert left <= {"run.ini", "out", "out/config.ini"}
 
 
 def test_gain_on_fresh_init_is_near_identity(tiny_ini, tmp_path):

@@ -42,6 +42,17 @@ def test_config_rejects_bad_geometry():
         ModelConfig(height=30, width=32, patch=8)
     with pytest.raises(ShapeError):
         ModelConfig(d_z=30, heads=4)
+    for size in ("height", "width", "channels", "t_in", "patch", "d_z",
+                 "heads", "modes", "blocks", "streams", "sinkhorn_iters"):
+        with pytest.raises(ShapeError, match=size):
+            ModelConfig(**{size: 0})
+    with pytest.raises(ShapeError):
+        ModelConfig(modes=5)  # the default 32 / 8 grid has 4 x 4 tokens
+    for groups in (0, 3):
+        with pytest.raises(ShapeError):
+            ModelConfig(groups=groups)
+    with pytest.raises(ValueError, match="activation"):
+        ModelConfig(activation="tanh")
 
 
 def test_default_config_is_desk_scale():
@@ -113,8 +124,8 @@ def test_positional_encoding_is_additive_affine_field():
 
 
 def test_embed_coordinate_normalization():
-    model, cfg = make_model(8)
-    coords = model._coords(3)
+    model, cfg = make_model(8, t_in=3)
+    coords = model._coords()
     grid = coords.reshape(3, 8, 8, 3)
     assert grid[..., 0].min() == 0.0 and grid[..., 0].max() == 1.0
     assert grid[..., 1].min() == 0.0 and grid[..., 1].max() == 1.0
@@ -211,6 +222,8 @@ def test_forward_window_length_check():
     model, cfg = make_model(21)
     with pytest.raises(ShapeError):
         model.forward(Tensor(np.zeros((1, 5, 8, 8, 2))))
+    with pytest.raises(ShapeError):
+        model.reference_forward(Tensor(np.zeros((1, 5, 8, 8, 2))))
 
 
 def test_forward_overflow_reports_location():

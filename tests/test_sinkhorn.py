@@ -271,8 +271,8 @@ def test_compose_permutations():
     p1 = np.eye(4)[[1, 0, 3, 2]]
     p2 = np.eye(4)[[2, 3, 0, 1]]
     chain = [
-        DoublyStochastic(Tensor(p1), iters_used=0, residual=0.0),
-        DoublyStochastic(Tensor(p2), iters_used=0, residual=0.0),
+        DoublyStochastic(p1, iters_used=0, residual=0.0),
+        DoublyStochastic(p2, iters_used=0, residual=0.0),
     ]
     np.testing.assert_array_equal(ds_compose(chain).array, p2 @ p1)
 
@@ -280,7 +280,7 @@ def test_compose_permutations():
 def test_compose_with_identity_is_noop():
     rng = np.random.default_rng(8)
     m = _project(rng)
-    ident = DoublyStochastic(Tensor(np.eye(4)), iters_used=0, residual=0.0)
+    ident = DoublyStochastic(np.eye(4), iters_used=0, residual=0.0)
     np.testing.assert_allclose(ds_compose([m, ident]).array, m.array, rtol=1e-15)
     np.testing.assert_allclose(ds_compose([ident, m]).array, m.array, rtol=1e-15)
 
@@ -297,16 +297,16 @@ def test_compose_24_outputs_row_sums_within_1e4():
 def test_compose_errors():
     with pytest.raises(ValueError):
         ds_compose([])
-    a = DoublyStochastic(Tensor(np.eye(3)), 0, 0.0)
-    b = DoublyStochastic(Tensor(np.eye(4)), 0, 0.0)
+    a = DoublyStochastic(np.eye(3), 0, 0.0)
+    b = DoublyStochastic(np.eye(4), 0, 0.0)
     with pytest.raises(ShapeError):
         ds_compose([a, b])
 
 
 def test_spectral_norm_identity_and_uniform():
-    ident = DoublyStochastic(Tensor(np.eye(4)), 0, 0.0)
+    ident = DoublyStochastic(np.eye(4), 0, 0.0)
     assert abs(spectral_norm_bound_check(ident) - 1.0) < 1e-10
-    uniform = DoublyStochastic(Tensor(np.full((4, 4), 0.25)), 0, 0.0)
+    uniform = DoublyStochastic(np.full((4, 4), 0.25), 0, 0.0)
     assert abs(spectral_norm_bound_check(uniform) - 1.0) < 1e-10
 
 

@@ -1,5 +1,7 @@
 """Optimizer, schedule, noise, loss, checkpoint format, and the loop."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -353,7 +355,12 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(noise=-1e-3)
     with pytest.raises(ValueError):
-        TrainConfig(betas=(0.9, 1.0))
+        TrainConfig(beta2=1.0)
+    with pytest.raises(ValueError):
+        TrainConfig(seed=-1)
+    for clip_norm in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            TrainConfig(clip_norm=clip_norm)
 
 
 def test_train_loss_decreases(heat_corpus):
@@ -391,15 +398,29 @@ def test_train_zero_lr_keeps_parameters_bitwise(heat_corpus):
         np.testing.assert_array_equal(t.data, before[k])
 
 
-def test_train_resume_bit_identical(tmp_path, heat_corpus):
+def test_train_resume_bit_identical(tmp_path, heat_corpus, monkeypatch):
     train_ds, _, plan = heat_corpus
     cfg = TrainConfig(epochs=4, steps_per_epoch=3, batch=2, peak_lr=1e-3,
                       warmup_epochs=1, seed=4)
+    import aotlab.train
+    encoded = []
+    save = aotlab.train.save_checkpoint
+
+    def counted(path, *args):
+        encoded.append(os.path.basename(path))
+        return save(path, *args)
+
+    monkeypatch.setattr(aotlab.train, "save_checkpoint", counted)
 
     model_a = tiny_model(seed=4)
     full = train(model_a, train_ds, plan, cfg, out_dir=str(tmp_path),
                  checkpoint_every=1)
     midway = str(tmp_path / "checkpoint_0001.aotc")  # after epoch 1, step 6
+    # each epoch's state is encoded once and copied to the other names
+    assert encoded == ["last_good.aotc"] * 4
+    final = (tmp_path / "checkpoint.aotc").read_bytes()
+    assert (tmp_path / "checkpoint_0003.aotc").read_bytes() == final
+    assert (tmp_path / "last_good.aotc").read_bytes() == final
 
     # warm restart: different init, everything overwritten by the checkpoint
     model_c = tiny_model(seed=99)
