@@ -109,6 +109,16 @@ def _checked_configs(cfg: RunConfig) -> tuple[ModelConfig, TrainConfig]:
         raise UsageError(f"bad config: {exc}") from exc
 
 
+def _check_flags(args: argparse.Namespace) -> None:
+    """Check the command flags that RunConfig does not hold, before the
+    command writes anything."""
+    if args.command == "train" and args.mode == "frozen" and not args.transform_from:
+        raise UsageError("--mode frozen requires --transform-from CHECKPOINT")
+    for flag, low in (("checkpoint_every", 0), ("horizon", 0), ("n_probe", 1)):
+        if hasattr(args, flag):
+            _check_at_least("--" + flag.replace("_", "-"), getattr(args, flag), low)
+
+
 def _eval_dataset(cfg: RunConfig):
     path = cfg.test_manifest or cfg.manifest
     if not path:
@@ -140,9 +150,6 @@ def cmd_gen_data(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> None:
-    if args.mode == "frozen" and not args.transform_from:
-        raise UsageError("--mode frozen requires --transform-from CHECKPOINT")
-    _check_at_least("--checkpoint-every", args.checkpoint_every, 0)
     if not cfg.manifest:
         raise UsageError("training needs a manifest; pass --manifest "
                          "or set [data] manifest")
@@ -180,7 +187,6 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_rollout(cfg: RunConfig, args: argparse.Namespace) -> None:
-    _check_at_least("--horizon", args.horizon, 0)
     ds, _ = _eval_dataset(cfg)
     if args.family not in ds.families:
         raise UsageError(f"family {args.family!r} not in dataset; "
@@ -222,7 +228,6 @@ def cmd_rollout(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_gain(cfg: RunConfig, args: argparse.Namespace) -> None:
-    _check_at_least("--n-probe", args.n_probe, 1)
     ds, _ = _eval_dataset(cfg)
     if args.checkpoint:
         model = _loaded_model(cfg, args)
@@ -417,6 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args.config, _flag_overrides(args))
         args.model_cfg, args.train_cfg = _checked_configs(cfg)
+        _check_flags(args)
         _prepare_out(cfg)
         _HANDLERS[args.command](cfg, args)
         return 0

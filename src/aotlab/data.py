@@ -153,22 +153,37 @@ def desk_specs(grid: int = 32) -> list[PdeFamilySpec]:
     ]
 
 
+def _solve_batch(spec: PdeFamilySpec, trajs: np.ndarray,
+                 rngs: list[np.random.Generator]) -> None:
+    """Draw frame 0 of each (frames, H, W, C) row of ``trajs`` from its own
+    generator, then solve every row as one batch into frames 1 onwards."""
+    n = spec.grid
+    for traj, rng in zip(trajs, rngs):
+        if spec.family == "diffusion_reaction":
+            traj[0] = dr_ic(n, n, rng, k=spec.k)
+        else:
+            traj[0, ..., 0] = grf_ic(n, n, rng)
+    ic, states = trajs[:, 0], trajs[:, 1:]
+    if spec.family == "heat":
+        solve_heat(ic[..., 0], spec.nu, spec.dt, spec.steps,
+                   stride=spec.stride, out=states[..., 0])
+    elif spec.family == "diffusion_reaction":
+        solve_dr(ic, d=spec.d, k=spec.k, scale=spec.scale, dt=spec.dt,
+                 steps=spec.steps, stride=spec.stride, out=states)
+    else:
+        solve_ns_vorticity(ic[..., 0], spec.nu, fno_forcing(n, n), spec.dt,
+                           spec.steps, stride=spec.stride, out=states[..., 0])
+
+
+def _empty_trajectories(spec: PdeFamilySpec, count: int) -> np.ndarray:
+    return np.empty((count, spec.frames, spec.grid, spec.grid, spec.channels))
+
+
 def generate_trajectory(spec: PdeFamilySpec, rng: np.random.Generator) -> np.ndarray:
     """Sample an IC and solve; returns (frames, H, W, C) float64."""
-    n = spec.grid
-    if spec.family == "heat":
-        ic = grf_ic(n, n, rng)[..., None]
-        states = solve_heat(ic[..., 0], spec.nu, spec.dt, spec.steps)[..., None]
-    elif spec.family == "diffusion_reaction":
-        ic = dr_ic(n, n, rng, k=spec.k)
-        states = solve_dr(ic, d=spec.d, k=spec.k, scale=spec.scale,
-                          dt=spec.dt, steps=spec.steps)
-    else:
-        ic = grf_ic(n, n, rng)[..., None]
-        states = solve_ns_vorticity(ic[..., 0], spec.nu, fno_forcing(n, n),
-                                    spec.dt, spec.steps)[..., None]
-    sampled = states[spec.stride - 1::spec.stride]
-    return np.concatenate([ic[None], sampled])
+    traj = _empty_trajectories(spec, 1)
+    _solve_batch(spec, traj, [rng])
+    return traj[0]
 
 
 # ---------------------------------------------------------------------
@@ -243,24 +258,15 @@ def family_subset(ds: TrajectoryDataset, family: str) -> TrajectoryDataset:
                              c_max=ds.c_max)
 
 
-def _generate_one(spec: PdeFamilySpec, fi: int, j: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(_STREAM_TRAJ, fi, j)))
-    try:
-        return generate_trajectory(spec, rng)
-    except NumericOverflowError as exc:
-        raise NumericOverflowError(
-            f"{spec.family} trajectory {j} (seed {seed}) blew up: {exc}",
-            where=exc.where) from exc
-
-
 def build_dataset(specs: list[PdeFamilySpec], n_train: int, n_test: int,
                   seed: int = 0,
                   threads: int = 1) -> tuple[TrajectoryDataset, TrajectoryDataset]:
     """Generate, label, and split the corpus with seed-stable shuffling.
 
-    Each trajectory owns an independent seed stream, so the output is
-    bit-identical for any thread count.
+    Each trajectory owns an independent seed stream, and a family's
+    trajectories are solved as one batch.  With ``threads`` > 1 the batch
+    is split into that many contiguous chunks solved on a thread pool, so
+    the output is bit-identical for any thread count.
     """
     if not specs:
         raise ValueError("specs must be nonempty")
@@ -269,12 +275,26 @@ def build_dataset(specs: list[PdeFamilySpec], n_train: int, n_test: int,
     train_t, train_l, test_t, test_l = [], [], [], []
     total = n_train + n_test
     for fi, spec in enumerate(specs):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                trajs = list(pool.map(
-                    lambda j: _generate_one(spec, fi, j, seed), range(total)))
+        trajs = _empty_trajectories(spec, total)
+
+        def solve_chunk(lo: int, hi: int) -> None:
+            rngs = [np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(_STREAM_TRAJ, fi, j)))
+                for j in range(lo, hi)]
+            try:
+                _solve_batch(spec, trajs[lo:hi], rngs)
+            except NumericOverflowError as exc:
+                raise NumericOverflowError(
+                    f"{spec.family} trajectory {lo + exc.row} (seed {seed}) "
+                    f"blew up at {exc.where}", where=exc.where) from exc
+
+        workers = min(threads, total)
+        if workers > 1:
+            edges = [total * i // workers for i in range(workers + 1)]
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(solve_chunk, edges[:-1], edges[1:]))
         else:
-            trajs = [_generate_one(spec, fi, j, seed) for j in range(total)]
+            solve_chunk(0, total)
         split_rng = np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(_STREAM_SPLIT, fi)))
         perm = split_rng.permutation(total)

@@ -12,12 +12,14 @@ class ShapeError(AotError, ValueError):
 class NumericOverflowError(AotError, ArithmeticError):
     """Non-finite values appeared during a forward pass or a solve.
 
-    ``where`` identifies the layer / solver step that produced them.
+    ``where`` identifies the layer / solver step that produced them; ``row``
+    is the batch row that failed first, when a batched solve raised.
     """
 
-    def __init__(self, message: str, where=None):
+    def __init__(self, message: str, where=None, row: int | None = None):
         super().__init__(message)
         self.where = where
+        self.row = row
 
 
 class FormatError(AotError, ValueError):

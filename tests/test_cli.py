@@ -225,11 +225,6 @@ def test_train_without_manifest_is_usage_error(tmp_path):
     assert run("--out", tmp_path, "train") == 1
 
 
-def test_train_frozen_without_source_is_usage_error(tiny_ini, tmp_path):
-    assert run("--config", tiny_ini, "--out", tmp_path, "train",
-               "--mode", "frozen") == 1
-
-
 def test_eval_reproduces_final_validation(tiny_ini, trained, tmp_path):
     assert run("--config", tiny_ini, "--out", tmp_path, "eval",
                "--checkpoint", trained / "checkpoint.aotc") == 0
@@ -353,10 +348,12 @@ TINY_GEN = ("gen-data", "--grid", 8, "--n-train", 1, "--n-test", 1)
     (None, ("train", "--epochs", 0)),
     (("train", "warmup_epochs", "99"), TINY_GEN),
     (("data", "n_test", "0"), ("train",)),
+    (None, ("train", "--mode", "frozen")),
 ], ids=["checkpoint-every", "horizon", "n-probe", "threads-zero",
         "threads-negative", "run-section-threads", "grid", "patch-zero",
         "heads-zero", "groups-word", "clip-norm-word", "epochs-zero",
-        "epochs-flag-zero", "warmup-past-epochs", "n-test-zero"])
+        "epochs-flag-zero", "warmup-past-epochs", "n-test-zero",
+        "frozen-without-source"])
 def test_bad_numeric_flag_is_usage_error(tiny_ini, trained, tmp_path, capsys,
                                          monkeypatch, setting, argv):
     monkeypatch.chdir(tmp_path)  # a command that wrongly runs writes here
@@ -371,14 +368,10 @@ def test_bad_numeric_flag_is_usage_error(tiny_ini, trained, tmp_path, capsys,
     assert run("--config", tmp_path / "run.ini", "--out", tmp_path / "out",
                *argv) == 1
     assert "usage error" in capsys.readouterr().err
-    # a bad config value, from the file or a flag, stops every command
-    # before it writes anything; a command checks its own flags after the
-    # config echo
+    # a bad config value or flag stops every command before it writes
+    # anything, the out directory and its config echo included
     left = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")}
-    if {"--checkpoint-every", "--horizon", "--n-probe"}.isdisjoint(argv):
-        assert left == {"run.ini"}
-    else:
-        assert left <= {"run.ini", "out", "out/config.ini"}
+    assert left == {"run.ini"}
 
 
 def test_gain_on_fresh_init_is_near_identity(tiny_ini, tmp_path):

@@ -26,8 +26,10 @@ from aotlab.data import (
     trajectory_crc,
     write_manifest,
 )
-from aotlab.errors import FormatError, ShapeError
-from aotlab.solvers import grf_ic, solve_heat
+import aotlab.data as data
+from aotlab.errors import FormatError, NumericOverflowError, ShapeError
+from aotlab.solvers import (dr_ic, fno_forcing, grf_ic, solve_dr, solve_heat,
+                            solve_ns_vorticity)
 
 
 def synthetic_ds(sizes, channels=None, frames=5, h=4, w=4, seed=0):
@@ -250,6 +252,75 @@ def test_build_dataset_validation():
     spec = PdeFamilySpec("heat", grid=8, nu=1e-2, dt=1e-2, steps=3)
     with pytest.raises(ValueError):
         build_dataset([spec], 0, 1)
+
+
+def _oracle_trajectory(spec, fi, j, seed):
+    """One IC at a time, each solved densely and then subsampled."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, fi, j)))
+    n = spec.grid
+    if spec.family == "heat":
+        ic = grf_ic(n, n, rng)[..., None]
+        states = solve_heat(ic[..., 0], spec.nu, spec.dt, spec.steps)[..., None]
+    elif spec.family == "diffusion_reaction":
+        ic = dr_ic(n, n, rng, k=spec.k)
+        states = solve_dr(ic, d=spec.d, k=spec.k, scale=spec.scale,
+                          dt=spec.dt, steps=spec.steps)
+    else:
+        ic = grf_ic(n, n, rng)[..., None]
+        states = solve_ns_vorticity(ic[..., 0], spec.nu, fno_forcing(n, n),
+                                    spec.dt, spec.steps)[..., None]
+    return np.concatenate([ic[None], states[spec.stride - 1::spec.stride]])
+
+
+def _oracle_splits(specs, n_train, n_test, seed):
+    splits = ([], []), ([], [])
+    total = n_train + n_test
+    for fi, spec in enumerate(specs):
+        trajs = [_oracle_trajectory(spec, fi, j, seed) for j in range(total)]
+        perm = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(1, fi))).permutation(total)
+        for (split_t, split_l), idxs in zip(splits, (perm[:n_train], perm[n_train:])):
+            split_t += [trajs[j] for j in idxs]
+            split_l += [spec.family] * len(idxs)
+    return splits
+
+
+@pytest.fixture(scope="module")
+def desk_oracle():
+    return _oracle_splits(desk_specs(), 2, 1, seed=21)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_build_dataset_matches_per_ic_oracle(desk_oracle, threads):
+    built = build_dataset(desk_specs(), 2, 1, seed=21, threads=threads)
+    for ds, (want_t, want_l) in zip(built, desk_oracle):
+        assert ds.labels == want_l
+        for traj, native, want in zip(ds.trajectories, ds.native_channels, want_t):
+            assert np.array_equal(traj[..., :native], want)
+
+
+@pytest.mark.filterwarnings("ignore:vorticity IC has nonzero mean")
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("family", ["diffusion_reaction", "ns_vorticity"])
+def test_build_dataset_blowup_names_trajectory_and_seed(family, threads,
+                                                        monkeypatch):
+    seed, grid = 5, 16
+    # only trajectory 2's initial condition is scaled past the blow-up limit
+    target = np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(0, 0, 2))).bit_generator.state
+    sampler = "dr_ic" if family == "diffusion_reaction" else "grf_ic"
+    orig = getattr(data, sampler)
+
+    def sample(*args, **kwargs):
+        hit = args[2].bit_generator.state == target
+        return orig(*args, **kwargs) * (1e7 if hit else 1.0)
+
+    monkeypatch.setattr(data, sampler, sample)
+    spec = PdeFamilySpec(family, grid=grid, nu=1e-3, dt=1e-3, steps=3)
+    with pytest.raises(NumericOverflowError) as err:
+        build_dataset([spec], 3, 1, seed=seed, threads=threads)
+    assert f"{family} trajectory 2 (seed {seed})" in str(err.value)
+    assert err.value.where == "step 0"
 
 
 # ---------------------------------------------------------------------

@@ -231,3 +231,118 @@ def test_dr_ic_brackets_fixed_point():
     assert ic.shape == (32, 32, 2)
     assert np.all(np.abs(ic - fixed) <= 0.5)
     assert np.abs(ic - fixed).max() > 0.4  # noise actually spans the range
+
+
+# ---------------------------------------------------------------------
+# batches: a leading axis of initial conditions, solved at once
+# ---------------------------------------------------------------------
+
+def _batch_ics(family, n=3, grid=16):
+    rng = np.random.default_rng(11)
+    if family == "diffusion_reaction":
+        return np.stack([dr_ic(grid, grid, rng) for _ in range(n)])
+    return np.stack([grf_ic(grid, grid, rng) for _ in range(n)])
+
+
+SOLVES = {
+    "heat": lambda ic, **kw: solve_heat(ic, 1e-2, 1e-2, 12, **kw),
+    "diffusion_reaction": lambda ic, **kw: solve_dr(ic, dt=1e-2, steps=12, **kw),
+    "ns_vorticity": lambda ic, **kw: solve_ns_vorticity(
+        ic, 1e-3, fno_forcing(16, 16), 1e-3, 12, **kw),
+}
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+@pytest.mark.parametrize("family", sorted(SOLVES))
+def test_batch_equals_loop_of_single_solves(family, stride):
+    solve, ics = SOLVES[family], _batch_ics(family)
+    batch = solve(ics, stride=stride)
+    assert batch.shape == (len(ics), 12 // stride) + ics.shape[1:]
+    for ic, row in zip(ics, batch):
+        single = solve(ic, stride=stride)
+        assert np.array_equal(row, single)
+        # stride keeps every stride-th state of the dense solve
+        assert np.array_equal(single, solve(ic)[stride - 1::stride])
+
+
+@pytest.mark.parametrize("family", sorted(SOLVES))
+def test_out_receives_the_frames(family):
+    ics = _batch_ics(family)
+    out = np.full((len(ics), 3) + ics.shape[1:], np.nan)
+    assert SOLVES[family](ics, stride=4, out=out) is out
+    assert np.array_equal(out, SOLVES[family](ics, stride=4))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_heat(np.zeros((3, 12, 16)), 1e-2, 1e-2, 5),
+    lambda: solve_heat(np.zeros((2, 1, 16, 16)), 1e-2, 1e-2, 5),
+    lambda: solve_heat(np.zeros((0, 16, 16)), 1e-2, 1e-2, 5),
+    lambda: solve_heat(np.zeros((2, 16, 16)), 1e-2, 1e-2, 5,
+                       out=np.empty((5, 16, 16))),
+    lambda: solve_dr(np.zeros((2, 16, 16, 3))),
+    lambda: solve_dr(np.zeros((2, 2, 16, 16, 2))),
+    lambda: solve_ns_vorticity(np.zeros((2, 16, 12)), 1e-3, None, 1e-3, 5),
+], ids=["heat-extent", "heat-4d", "heat-empty", "heat-out", "dr-channels",
+        "dr-5d", "ns-extent"])
+def test_batch_shape_validation(call):
+    with pytest.raises(ShapeError):
+        call()
+
+
+def test_stride_validation():
+    with pytest.raises(ValueError):
+        solve_heat(np.zeros((16, 16)), 1e-2, 1e-2, 5, stride=0)
+
+
+def test_ns_batch_projects_nonzero_mean_rows_with_warning():
+    ics = _batch_ics("ns_vorticity")
+    ics[1] += 0.5
+    with pytest.warns(UserWarning):
+        batch = solve_ns_vorticity(ics, nu=1e-2, forcing=None, dt=1e-3, steps=5)
+    assert np.abs(batch.mean(axis=(2, 3))).max() < 1e-13
+    with pytest.warns(UserWarning):
+        assert np.array_equal(batch[1], solve_ns_vorticity(
+            ics[1], nu=1e-2, forcing=None, dt=1e-3, steps=5))
+    assert np.array_equal(batch[0], solve_ns_vorticity(
+        ics[0], nu=1e-2, forcing=None, dt=1e-3, steps=5))
+
+
+def test_dr_batch_blowup_names_the_row():
+    # u = v = 0 is a fixed point at k = 0; only row 2 leaves it
+    ic = np.zeros((4, 16, 16, 2))
+    ic[2] = 2.0
+    with pytest.raises(NumericOverflowError) as err:
+        solve_dr(ic, k=0.0, dt=1.0, steps=10)
+    assert err.value.row == 2
+    assert "row 2" in str(err.value) and "step" in str(err.value.where)
+
+
+def test_ns_batch_blowup_names_the_row():
+    y, _ = grid_xy(16)
+    ic = np.zeros((4, 16, 16))
+    ic[2] = 2e6 * np.sin(2 * np.pi * y)
+    ic[2] -= ic[2].mean()
+    with pytest.raises(NumericOverflowError) as err:
+        solve_ns_vorticity(ic, nu=0.0, forcing=None, dt=1e-3, steps=3)
+    assert err.value.row == 2
+    assert err.value.where == "step 0"
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_ns_step_makes_three_transforms_per_batch(batch, monkeypatch):
+    ics = _batch_ics("ns_vorticity", n=batch)
+    calls = {"fft2": 0, "ifft2": 0}
+    for name in calls:
+        orig = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    steps = 7
+    solve_ns_vorticity(ics, 1e-3, None, 1e-3, steps, stride=7)
+    # one forward transform of the initial condition, then per step: the
+    # four derivative fields in one inverse, the advection term forward,
+    # and the new vorticity inverse
+    assert calls == {"fft2": 1 + steps, "ifft2": 2 * steps}
