@@ -39,8 +39,7 @@ class Tape:
     """Ordered record of primitive operations for one forward pass.
 
     Single-owner and single-threaded: concurrent forward passes must use
-    separate tapes.  ``clear`` drops every node and with it all saved
-    intermediates captured by the backward closures.
+    separate tapes.
     """
 
     def __init__(self):
@@ -59,9 +58,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def clear(self) -> None:
-        self._nodes.clear()
 
     def backward(self, root: "Tensor") -> None:
         """Propagate d(root)/d(leaf) into ``.grad`` of every leaf that
@@ -186,24 +182,8 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    # -- method aliases ------------------------------------------------
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 def as_tensor(x) -> Tensor:

@@ -186,8 +186,6 @@ def lift(z: Tensor, n: int) -> Tensor:
     if n < 1:
         raise ShapeError(f"stream count must be >= 1, got {n}")
     z = ad.as_tensor(z)
-    if z.ndim == 3:
-        z = ad.reshape(z, (1,) + z.shape)
     if z.ndim != 4:
         raise ShapeError(f"lift expects (B, C, H, W), got {z.shape}")
     b, c, h, w = z.shape

@@ -131,10 +131,9 @@ def gains_from_matrices(mats: list) -> GainReport:
 
 
 def gain_analysis(model, probe_inputs: np.ndarray) -> GainReport:
-    """Capture every stream-mixing matrix over the probe batch and grade it."""
+    """Capture every stream-mixing matrix over the (B, T_in, H, W, C) probe
+    batch and grade it."""
     probe_inputs = np.asarray(probe_inputs)
-    if probe_inputs.ndim == 4:
-        probe_inputs = probe_inputs[None]
     if probe_inputs.shape[0] < 1:
         raise ValueError("need at least one probe input")
     collected: list = []

@@ -41,7 +41,14 @@ ACTIVATIONS = ("gelu", "relu", "identity")
 
 
 class FourierMixerParams:
-    """Complex per-head MLP weights stored as (re, im) tensor pairs."""
+    """Complex per-head MLP weights stored as (re, im) tensor pairs.
+
+    ``b2_im`` has gradient 0 in exact arithmetic: the retained modes come in
+    +-k pairs, so a bias on the imaginary part of every mode has no real
+    part after the inverse transform, and only rounding moves it.  It stays
+    because removing it would change the checkpoint's tensor names, so
+    checkpoints written before would stop loading.
+    """
 
     def __init__(self, dim, heads, modes, w1_re, w1_im, b1_re, b1_im,
                  w2_re, w2_im, b2_re, b2_im):
@@ -58,8 +65,6 @@ class FourierMixerParams:
     @classmethod
     def init(cls, dim: int, heads: int, modes: int,
              rng: np.random.Generator) -> "FourierMixerParams":
-        if dim % heads != 0:
-            raise ShapeError(f"dim {dim} not divisible by heads {heads}")
         dh = dim // heads
         scale = 0.02 / np.sqrt(dh)
 

@@ -3,7 +3,9 @@ aggregation, adaptive multi-stream blocks, gated readout, de-patch head.
 
 Input windows are (B, T_in, H, W, C) and the output is the predicted next
 frame (B, H, W, C).  Each of the N blocks applies two wrapped sub-layers in
-order: the Fourier token mixer, then a pointwise channel MLP.
+order: the Fourier token mixer, then a pointwise channel MLP.  A pointwise
+channel transform pair may wrap the whole network; its mode (vanilla,
+learned or frozen) is chosen when the model is built.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ TRANSFORM_MODES = ("vanilla", "learned", "frozen")
 class LinearTransformPair:
     """Pointwise channel transforms wrapping the whole network (W_out o G o
     W_in).  ``vanilla`` leaves the model untouched; ``learned`` trains the
-    transforms; ``frozen`` applies them but suppresses their gradients."""
+    transforms; ``frozen`` applies them but suppresses their gradients.  The
+    mode is fixed when the pair is built."""
 
     def __init__(self, w_in: Tensor, b_in: Tensor, w_out: Tensor, b_out: Tensor,
                  mode: str = "vanilla"):
@@ -104,17 +107,6 @@ class LinearTransformPair:
     def active(self) -> bool:
         return self.mode != "vanilla"
 
-    def set_mode(self, mode: str) -> None:
-        if mode not in TRANSFORM_MODES:
-            raise ValueError(f"unknown transform mode {mode!r}")
-        self.mode = mode
-        trainable = mode == "learned"
-        for t in (self.w_in, self.b_in, self.w_out, self.b_out):
-            t.requires_grad = trainable
-
-    def param_count(self) -> int:
-        return sum(t.size for t in (self.w_in, self.b_in, self.w_out, self.b_out))
-
     def named(self, prefix: str) -> dict:
         return {
             f"{prefix}.w_in": self.w_in, f"{prefix}.b_in": self.b_in,
@@ -122,11 +114,8 @@ class LinearTransformPair:
         }
 
 
-def apply_linear_transform(u: Tensor, pair: LinearTransformPair, side: str) -> Tensor:
-    """Affine map over the channel (last) axis at every grid node."""
-    if side not in ("in", "out"):
-        raise ValueError(f"side must be 'in' or 'out', got {side!r}")
-    w, b = (pair.w_in, pair.b_in) if side == "in" else (pair.w_out, pair.b_out)
+def apply_linear_transform(u: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``u @ w + b`` over the channel (last) axis at every grid node."""
     shape = u.shape
     flat = ad.reshape(u, (-1, shape[-1]))
     return ad.reshape(ad.matmul(flat, w) + b, shape)
@@ -153,15 +142,13 @@ class _IdentityModule:
     def forward(self, x: Tensor) -> Tensor:
         return x
 
-    def named(self, prefix: str) -> dict:
-        return {}
-
 
 class Model:
     """The assembled operator network.
 
     ``transform`` is the pointwise channel pair used by the basis-change
-    experiments; in vanilla mode it is bypassed entirely.
+    experiments; ``transform_mode`` picks its mode once, when the model is
+    built.  In vanilla mode it is bypassed entirely.
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float64,
@@ -274,20 +261,18 @@ class Model:
         return ad.reshape(x, (b, cfg.height, cfg.width, cfg.channels))
 
     def _encode(self, u: Tensor) -> Tensor:
-        """Checked window (a batch axis is added to a single one) through the
-        input transform, patch embedding and temporal aggregation."""
+        """Checked (B, T_in, H, W, C) window through the input transform,
+        patch embedding and temporal aggregation."""
         u = ad.as_tensor(u)
-        if u.ndim == 4:
-            u = ad.reshape(u, (1,) + u.shape)
         self._check_window(u)
         if self.transform.active:
-            u = apply_linear_transform(u, self.transform, "in")
+            u = apply_linear_transform(u, self.transform.w_in, self.transform.b_in)
         return temporal_aggregate(self.embed(u), self.t_mlp, self.gamma)
 
     def _decode(self, z: Tensor) -> Tensor:
         out = self.depatch(z)
         if self.transform.active:
-            out = apply_linear_transform(out, self.transform, "out")
+            out = apply_linear_transform(out, self.transform.w_out, self.transform.b_out)
         return out
 
     def forward(self, u: Tensor, strict_identity: bool = False,

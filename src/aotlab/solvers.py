@@ -72,14 +72,18 @@ def _k_squared(h: int, w: int) -> np.ndarray:
     return (ky ** 2)[:, None] + (kx ** 2)[None, :]
 
 
-def _check_blowup(field: np.ndarray, step: int, family: str) -> None:
-    """Raise for the first row of the batch ``field`` that is non-finite or
-    past BLOWUP_LIMIT; the error's ``row`` names it."""
-    if np.all(np.isfinite(field)) and np.abs(field).max() <= BLOWUP_LIMIT:
+def _check_blowup(step: int, family: str, *fields: np.ndarray) -> None:
+    """Raise for the first batch row in which any of ``fields`` (each with
+    the batch on the leading axis) is non-finite or past BLOWUP_LIMIT; the
+    error's ``row`` names it."""
+    # a NaN anywhere makes the max NaN, which fails the comparison too
+    if all(np.abs(f).max() <= BLOWUP_LIMIT for f in fields):
         return
-    flat = field.reshape(len(field), -1)
-    bad = ~np.isfinite(flat) | (np.abs(flat) > BLOWUP_LIMIT)
-    row = int(np.flatnonzero(bad.any(axis=1))[0])
+    bad = np.zeros(len(fields[0]), dtype=bool)
+    for f in fields:
+        flat = f.reshape(len(f), -1)
+        bad |= (~np.isfinite(flat) | (np.abs(flat) > BLOWUP_LIMIT)).any(axis=1)
+    row = int(np.flatnonzero(bad)[0])
     raise NumericOverflowError(
         f"{family} solve blew up in batch row {row} at step {step}",
         where=f"step {step}", row=row)
@@ -131,7 +135,7 @@ def solve_dr(ic: np.ndarray, d: tuple = (1e-3, 5e-3), k: float = 5e-3,
         rv = u - v
         u = u + dt * scale * ru
         v = v + dt * scale * rv
-        _check_blowup(u, s, "diffusion-reaction")
+        _check_blowup(s, "diffusion-reaction", u, v)
         if (s + 1) % stride == 0:
             frames[:, s // stride, ..., 0] = u
             frames[:, s // stride, ..., 1] = v
@@ -215,7 +219,7 @@ def solve_ns_vorticity(ic: np.ndarray, nu: float, forcing: np.ndarray | None,
         w_hat = (cn_minus * w_hat + dt * (-n_eff + f_hat)) / cn_plus
         n_prev = n_curr
         frame = np.fft.ifft2(w_hat).real
-        _check_blowup(frame, s, "navier-stokes")
+        _check_blowup(s, "navier-stokes", frame)
         if (s + 1) % stride == 0:
             frames[:, s // stride] = frame
     return frames[0] if single else frames
@@ -225,13 +229,13 @@ def solve_ns_vorticity(ic: np.ndarray, nu: float, forcing: np.ndarray | None,
 # initial condition samplers
 # ---------------------------------------------------------------------
 
-def grf_ic(h: int, w: int, rng: np.random.Generator, alpha: float = 2.5,
-           tau: float = 7.0) -> np.ndarray:
-    """Gaussian random field: spectrally filtered white noise, standardized
-    to zero mean and unit standard deviation."""
+def grf_ic(h: int, w: int, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian random field: white noise filtered by the spectrum
+    (|k|^2 + 7^2)^(-2.5), standardized to zero mean and unit standard
+    deviation."""
     fy = np.fft.fftfreq(h, d=1.0 / h)[:, None]
     fx = np.fft.fftfreq(w, d=1.0 / w)[None, :]
-    spectrum = (fy ** 2 + fx ** 2 + tau ** 2) ** (-alpha)
+    spectrum = (fy ** 2 + fx ** 2 + 7.0 ** 2) ** -2.5
     noise = rng.standard_normal((h, w))
     field = np.fft.ifft2(np.fft.fft2(noise) * spectrum).real
     field = field - field.mean()

@@ -21,7 +21,7 @@ from .checkpoint import config_hash, load_checkpoint, save_checkpoint
 from .container import write_atomic, write_lines
 from .data import SamplingPlan, TrajectoryDataset, family_subset, sample_batch
 from .errors import FormatError, NumericOverflowError, ShapeError
-from .model import TRANSFORM_MODES, Model, ModelConfig
+from .model import Model, ModelConfig
 
 # named randomness streams derived from the single config seed
 STREAM_DATA = 0
@@ -215,6 +215,19 @@ def save_training_checkpoint(path: str, model, opt: AdamW, step: int,
          "noise": noise_rng.bit_generator.state})
 
 
+def _copy_tensors(named: dict, arrays: dict, what: str) -> None:
+    """Set each tensor in ``named`` from the checkpoint array of the same
+    name, cast to the tensor's dtype."""
+    for name, t in named.items():
+        if name not in arrays:
+            raise FormatError(f"checkpoint lacks {what} {name!r}")
+        arr = arrays[name]
+        if arr.shape != t.data.shape:
+            raise FormatError(f"{what} {name!r} shape {arr.shape} "
+                              f"vs model shape {t.data.shape}")
+        t.data = arr if arr.dtype == t.data.dtype else arr.astype(t.data.dtype)
+
+
 def _assign_model_tensors(model, ckpt) -> None:
     if ckpt.config_hash != config_hash(model.cfg):
         raise FormatError("checkpoint config hash does not match the model; "
@@ -225,12 +238,7 @@ def _assign_model_tensors(model, ckpt) -> None:
     if missing or extra:
         raise FormatError(f"checkpoint tensor names disagree with the model "
                           f"(missing {sorted(missing)}, extra {sorted(extra)})")
-    for name, t in named.items():
-        arr = ckpt.tensors[name]
-        if arr.shape != t.data.shape:
-            raise FormatError(f"tensor {name!r} shape {arr.shape} "
-                              f"vs model shape {t.data.shape}")
-        t.data = arr if arr.dtype == t.data.dtype else arr.astype(t.data.dtype)
+    _copy_tensors(named, ckpt.tensors, "tensor")
 
 
 def load_model_state(model, path: str) -> int:
@@ -261,32 +269,24 @@ def load_transform(model, path: str) -> None:
     """Copy the pointwise transform tensors out of a full-model checkpoint."""
     ckpt = load_checkpoint(path)
     named = model.named_tensors()
-    for name in sorted(k for k in named if k.startswith(TRANSFORM_PREFIX)):
-        if name not in ckpt.tensors:
-            raise FormatError(f"checkpoint lacks transform tensor {name!r}")
-        arr = ckpt.tensors[name]
-        if arr.shape != named[name].data.shape:
-            raise FormatError(f"transform tensor {name!r} shape {arr.shape} "
-                              f"vs model shape {named[name].data.shape}")
-        named[name].data = arr.astype(named[name].data.dtype)
+    pair = {k: named[k] for k in sorted(named) if k.startswith(TRANSFORM_PREFIX)}
+    _copy_tensors(pair, ckpt.tensors, "transform tensor")
 
 
 # ---------------------------------------------------------------------
 # validation and metrics
 # ---------------------------------------------------------------------
 
-def validate(model, ds: TrajectoryDataset, window_stride: int = 5) -> dict:
+def validate(model, ds: TrajectoryDataset) -> dict:
     """Per-family single-step relative error on native channels.
 
-    Every trajectory is scored at window starts 0, stride, 2*stride, ...
-    (predict frame s + t_in from frames s..s+t_in-1); the family value is
-    the mean per-sample L2RE over all trajectories and starts.  Padded
-    channels are excluded from the metric.
+    Every trajectory is scored at window starts 0, 5, 10, ... (predict
+    frame s + t_in from frames s..s+t_in-1); the family value is the mean
+    per-sample L2RE over all trajectories and starts.  Padded channels are
+    excluded from the metric.
     """
     from .diagnostics import l2re
 
-    if window_stride < 1:
-        raise ValueError("window_stride must be at least 1")
     t_in = model.cfg.t_in
     out = {}
     for fam in ds.families:
@@ -296,7 +296,7 @@ def validate(model, ds: TrajectoryDataset, window_stride: int = 5) -> dict:
         if length <= t_in:
             raise ShapeError(f"{fam} trajectories have {length} frames; "
                              f"validation needs at least t_in + 1 = {t_in + 1}")
-        starts = range(0, length - t_in, window_stride)
+        starts = range(0, length - t_in, 5)
         windows = np.stack([ds.trajectories[i][s:s + t_in]
                             for s in starts for i in idxs])
         truths = np.stack([ds.trajectories[i][s + t_in]
@@ -435,7 +435,6 @@ def train(model, train_ds: TrajectoryDataset, plan: SamplingPlan,
 def train_mode_run(model_cfg: ModelConfig, mode: str,
                    train_ds: TrajectoryDataset, plan: SamplingPlan,
                    cfg: TrainConfig, dtype=np.float64,
-                   test_ds: TrajectoryDataset | None = None,
                    transform_from: str | None = None,
                    out_dir: str | None = None):
     """Train a freshly initialized model in one of the three transform modes.
@@ -445,15 +444,13 @@ def train_mode_run(model_cfg: ModelConfig, mode: str,
     and gradient-suppressed while the re-initialized backbone trains.
     Returns (TrainResult, model).
     """
-    if mode not in TRANSFORM_MODES:
-        raise ValueError(f"mode must be one of {TRANSFORM_MODES}, got {mode!r}")
     if mode == "frozen" and transform_from is None:
         raise ValueError("frozen mode needs a transform_from checkpoint")
     init_rng = named_stream(cfg.seed, STREAM_INIT)
     model = Model(model_cfg, init_rng, dtype=dtype, transform_mode=mode)
     if mode == "frozen":
         load_transform(model, transform_from)
-    result = train(model, train_ds, plan, cfg, test_ds=test_ds, out_dir=out_dir)
+    result = train(model, train_ds, plan, cfg, out_dir=out_dir)
     return result, model
 
 

@@ -221,6 +221,22 @@ def test_train_emits_artifacts(trained):
                       "heat_l2re,ns_vorticity_l2re")
 
 
+def test_train_frozen_keeps_the_loaded_transform_bits(tiny_ini, tmp_path):
+    short = ("--epochs", 2, "--steps-per-epoch", 2)
+    assert run("--config", tiny_ini, "--out", tmp_path / "learned", "train",
+               "--mode", "learned", *short) == 0
+    source = tmp_path / "learned" / "checkpoint.aotc"
+    assert run("--config", tiny_ini, "--out", tmp_path / "frozen", "train",
+               "--mode", "frozen", "--transform-from", source, *short) == 0
+    learned = load_checkpoint(str(source)).tensors
+    frozen = load_checkpoint(str(tmp_path / "frozen" / "checkpoint.aotc")).tensors
+    names = [k for k in learned if k.startswith("transform.")]
+    assert len(names) == 4
+    assert not np.array_equal(learned["transform.w_in"], np.eye(2))
+    for k in names:
+        np.testing.assert_array_equal(frozen[k], learned[k])
+
+
 def test_train_without_manifest_is_usage_error(tmp_path):
     assert run("--out", tmp_path, "train") == 1
 
@@ -385,6 +401,14 @@ def test_gain_on_fresh_init_is_near_identity(tiny_ini, tmp_path):
     for row in per_layer:
         assert abs(float(row[2]) - 1.0) < 1e-5   # backward exact
         assert abs(float(row[1]) - 1.0) < 0.05   # forward near 1 at init
+
+
+def test_gain_from_checkpoint(tiny_ini, trained, tmp_path):
+    assert run("--config", tiny_ini, "--out", tmp_path, "gain",
+               "--checkpoint", trained / "checkpoint.aotc", "--n-probe", 3) == 0
+    assert "gains from checkpoint" in (tmp_path / "summary.txt").read_text()
+    lines = (tmp_path / "gains.csv").read_text().strip().split("\n")
+    assert lines[1] == "sublayer,forward_gain,backward_gain"
 
 
 def test_probe_writes_features_for_every_test_sample(tiny_ini, trained,

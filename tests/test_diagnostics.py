@@ -241,9 +241,6 @@ def test_gain_analysis_on_model():
     assert rep.n_sublayers == 2 and rep.n_inputs == 4
     assert all(abs(b - 1.0) < 1e-5 for b in rep.backward)
     assert all(f >= 1.0 - 1e-9 for f in rep.forward)
-    # a single unbatched window is promoted to batch size one
-    rep1 = gain_analysis(model, probe[0])
-    assert rep1.n_inputs == 1
 
 
 def test_gain_csv_round_trip(tmp_path):

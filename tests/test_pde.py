@@ -317,6 +317,23 @@ def test_dr_batch_blowup_names_the_row():
     assert "row 2" in str(err.value) and "step" in str(err.value.where)
 
 
+def test_dr_blowup_in_v_alone_raises():
+    # u = 0 at scale 0 stays at rest, so only v is past the limit
+    ic = np.zeros((16, 16, 2))
+    ic[..., 1] = 1e7
+    with pytest.raises(NumericOverflowError):
+        solve_dr(ic, scale=0.0)
+
+
+def test_dr_batch_blowup_in_v_names_the_row():
+    ic = np.zeros((4, 16, 16, 2))
+    ic[2, ..., 1] = 1e7
+    with pytest.raises(NumericOverflowError) as err:
+        solve_dr(ic, k=0.0, scale=0.0, steps=3)
+    assert err.value.row == 2
+    assert err.value.where == "step 0"
+
+
 def test_ns_batch_blowup_names_the_row():
     y, _ = grid_xy(16)
     ic = np.zeros((4, 16, 16))

@@ -330,17 +330,6 @@ def test_backward_accumulates_across_calls():
     np.testing.assert_allclose(x.grad, 2 * first)
 
 
-def test_tape_clear_drops_nodes():
-    x = Tensor(np.ones(3), requires_grad=True)
-    with Tape() as tape:
-        y = ad.tsum(x * 2.0)
-        assert len(tape) > 0
-        tape.clear()
-        assert len(tape) == 0
-        tape.backward(y)
-    assert x.grad is None
-
-
 def test_no_tape_records_nothing():
     x = Tensor(np.ones(3), requires_grad=True)
     y = x * 2.0
