@@ -70,27 +70,23 @@ class Tape:
         """
         if root.size != 1:
             raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
-        # Per-pass gradient store; id -> (tensor, grad array).  Keeping the
-        # tensor reference pins the id against reuse.
-        store: dict[int, list] = {id(root): [root, np.ones_like(root.data)]}
+        # Per-pass gradient store, keyed by the tensor itself: Tensor
+        # defines no __eq__, so it hashes by identity.
+        store = {root: np.ones_like(root.data)}
 
         def accumulate(t: "Tensor", g: np.ndarray) -> None:
             if not t.requires_grad:
                 return
             g = _unbroadcast(g, t.data.shape)
-            entry = store.get(id(t))
-            if entry is None:
-                store[id(t)] = [t, g.astype(t.data.dtype, copy=True)]
-            else:
-                entry[1] = entry[1] + g
+            held = store.get(t)
+            store[t] = g.astype(t.data.dtype, copy=True) if held is None else held + g
 
         for out, backward_fn in reversed(self._nodes):
-            entry = store.pop(id(out), None)
-            if entry is None:
-                continue
-            backward_fn(entry[1], accumulate)
+            g = store.pop(out, None)
+            if g is not None:
+                backward_fn(g, accumulate)
 
-        for t, g in store.values():
+        for t, g in store.items():
             t.grad = g if t.grad is None else t.grad + g
 
 
@@ -210,87 +206,50 @@ def _binary_operands(a, b) -> tuple:
 # binary elementwise primitives
 # ---------------------------------------------------------------------
 
-def _binary_data(a: Tensor, b: Tensor, op: str) -> np.ndarray:
+def _binary(fn, a, b, grads) -> Tensor:
+    """Record ``fn(a, b)`` for a numpy ufunc ``fn``.  ``grads(g, ad, bd)``
+    returns the gradients of both operands from the output gradient ``g``
+    and the operand arrays."""
+    a, b = _binary_operands(a, b)
     try:
-        if op == "add":
-            return a.data + b.data
-        if op == "sub":
-            return a.data - b.data
-        if op == "mul":
-            return a.data * b.data
-        return a.data / b.data
+        data = fn(a.data, b.data)
     except ValueError as exc:
         raise ShapeError(
-            f"{op}: shapes {a.shape} and {b.shape} are not broadcast-compatible"
+            f"{fn.__name__}: shapes {a.shape} and {b.shape} are not broadcast-compatible"
         ) from exc
+    out = Tensor(data, requires_grad=tracking(a, b))
+    ad, bd = a.data, b.data
+
+    def bwd(g, acc):
+        ga, gb = grads(g, ad, bd)
+        acc(a, ga)
+        acc(b, gb)
+
+    record(out, bwd)
+    return out
 
 
 def add(a, b) -> Tensor:
-    a, b = _binary_operands(a, b)
-    out = Tensor(_binary_data(a, b, "add"), requires_grad=tracking(a, b))
-
-    def bwd(g, acc):
-        acc(a, g)
-        acc(b, g)
-
-    record(out, bwd)
-    return out
+    return _binary(np.add, a, b, lambda g, ad, bd: (g, g))
 
 
 def sub(a, b) -> Tensor:
-    a, b = _binary_operands(a, b)
-    out = Tensor(_binary_data(a, b, "sub"), requires_grad=tracking(a, b))
-
-    def bwd(g, acc):
-        acc(a, g)
-        acc(b, -g)
-
-    record(out, bwd)
-    return out
+    return _binary(np.subtract, a, b, lambda g, ad, bd: (g, -g))
 
 
 def mul(a, b) -> Tensor:
-    a, b = _binary_operands(a, b)
-    out = Tensor(_binary_data(a, b, "mul"), requires_grad=tracking(a, b))
-    ad, bd = a.data, b.data
-
-    def bwd(g, acc):
-        acc(a, g * bd)
-        acc(b, g * ad)
-
-    record(out, bwd)
-    return out
+    return _binary(np.multiply, a, b, lambda g, ad, bd: (g * bd, g * ad))
 
 
 def div(a, b) -> Tensor:
-    a, b = _binary_operands(a, b)
-    out = Tensor(_binary_data(a, b, "div"), requires_grad=tracking(a, b))
-    ad, bd = a.data, b.data
-
-    def bwd(g, acc):
-        acc(a, g / bd)
-        acc(b, -g * ad / (bd * bd))
-
-    record(out, bwd)
-    return out
+    return _binary(np.divide, a, b, lambda g, ad, bd: (g / bd, -g * ad / (bd * bd)))
 
 
 # ---------------------------------------------------------------------
 # unary elementwise primitives
 # ---------------------------------------------------------------------
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(-a.data, requires_grad=tracking(a))
-
-    def bwd(g, acc):
-        acc(a, -g)
-
-    record(out, bwd)
-    return out
-
-
-def _unary(a: Tensor, value: np.ndarray, deriv: np.ndarray) -> Tensor:
+def _unary(a: Tensor, value: np.ndarray, deriv) -> Tensor:
     out = Tensor(value, requires_grad=tracking(a))
 
     def bwd(g, acc):
@@ -298,6 +257,11 @@ def _unary(a: Tensor, value: np.ndarray, deriv: np.ndarray) -> Tensor:
 
     record(out, bwd)
     return out
+
+
+def neg(a) -> Tensor:
+    a = as_tensor(a)
+    return _unary(a, -a.data, -1)
 
 
 def exp(a) -> Tensor:
@@ -353,30 +317,14 @@ def gelu(a) -> Tensor:
 # ---------------------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
-    """Strict 2-D matrix product (m x k) @ (k x p)."""
+    """Matrix product of two 2-D operands (m x k) @ (k x p), or of two
+    batches (B x m x k) @ (B x k x p)."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=tracking(a, b))
-    ad, bd = a.data, b.data
-
-    def bwd(g, acc):
-        acc(a, g @ bd.T)
-        acc(b, ad.T @ g)
-
-    record(out, bwd)
-    return out
-
-
-def bmm(a, b) -> Tensor:
-    """Batched matrix product (B x m x k) @ (B x k x p)."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 3 or b.ndim != 3:
-        raise ShapeError(f"bmm expects 3-D operands, got {a.shape} and {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ShapeError(f"bmm shapes incompatible: {a.shape} vs {b.shape}")
+    if a.ndim != b.ndim or a.ndim not in (2, 3):
+        raise ShapeError(f"matmul expects two 2-D or two 3-D operands, "
+                         f"got {a.shape} and {b.shape}")
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul shapes incompatible: {a.shape} vs {b.shape}")
     out = Tensor(a.data @ b.data, requires_grad=tracking(a, b))
     ad, bd = a.data, b.data
 
@@ -398,12 +346,8 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     in_shape = a.data.shape
 
     def bwd(g, acc):
-        if axis is None:
-            acc(a, np.broadcast_to(g, in_shape))
-            return
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
-            g = np.expand_dims(g, axes)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
         acc(a, np.broadcast_to(g, in_shape))
 
     record(out, bwd)
@@ -412,14 +356,8 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    if axis is None:
-        count = a.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= a.shape[ax]
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
+    total = tsum(a, axis=axis, keepdims=keepdims)
+    return total * (1.0 / (a.size // total.size))
 
 
 def reshape(a, shape) -> Tensor:

@@ -271,7 +271,7 @@ def compute_maps(x: Tensor, params: AotParams, sinkhorn_iters: int = 20) -> AotM
 def stream_mix(t: Tensor, x: Tensor) -> Tensor:
     """Apply a (B, n, n) matrix along the stream axis of (B, n, C, H, W)."""
     b, n, c, h, w = x.shape
-    mixed = ad.bmm(t, ad.reshape(x, (b, n, c * h * w)))
+    mixed = ad.matmul(t, ad.reshape(x, (b, n, c * h * w)))
     return ad.reshape(mixed, (b, n, c, h, w))
 
 

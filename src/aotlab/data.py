@@ -233,8 +233,13 @@ class TrajectoryDataset:
         self.families = sorted(set(labels))
         self._by_family = {fam: [i for i, lab in enumerate(labels) if lab == fam]
                            for fam in self.families}
-        self.native_by_family = {fam: self.native_channels[self._by_family[fam][0]]
-                                 for fam in self.families}
+        self.native_by_family = {}
+        for fam, idx in self._by_family.items():
+            counts = sorted({self.native_channels[i] for i in idx})
+            if len(counts) > 1:
+                raise ShapeError(f"family {fam!r} mixes {counts[0]} and "
+                                 f"{counts[-1]} native channels")
+            self.native_by_family[fam] = counts[0]
 
     def __len__(self) -> int:
         return len(self.trajectories)

@@ -6,10 +6,11 @@ i sin(theta).  The layer works in real arithmetic throughout: one matmul
 with the real (H*W, 2R) table ``[cos | -sin]`` carries the tokens of each
 channel to those modes, as ``re`` and ``im`` parts stacked in rows
 ``[re; im]``.  A per-head two-layer complex MLP is applied pointwise in
-frequency (shared across modes); each complex weight acts as one bmm with
-the real block ``[[W_re, -W_im], [W_im, W_re]]`` and each bias as the
-column ``[b_re; b_im]``.  One matmul with the table's transpose divided by
-H*W carries the result back: that is the real part of the inverse DFT.
+frequency (shared across modes); each complex weight acts as one
+batched matmul with the real block ``[[W_re, -W_im], [W_im, W_re]]`` and
+each bias as the column ``[b_re; b_im]``.  One matmul with the table's
+transpose divided by H*W carries the result back: that is the real part
+of the inverse DFT.
 Frequencies outside the retained set are never formed: the operator is
 the one a full-grid FFT, the MLP at every frequency, a mode mask and an
 inverse FFT would give, but it needs no FFT and the grid may have any
@@ -115,8 +116,8 @@ def _tables(h: int, w: int, modes: int, dtype: np.dtype) -> tuple:
 
 
 def _complex_weight(w_re: Tensor, w_im: Tensor) -> Tensor:
-    """(heads, 2*dh, 2*dh) real block [[W_re, -W_im], [W_im, W_re]]: one bmm
-    with it applies W to rows stacked as [re; im]."""
+    """(heads, 2*dh, 2*dh) real block [[W_re, -W_im], [W_im, W_re]]: one
+    batched matmul with it applies W to rows stacked as [re; im]."""
     left = ad.concat([w_re, w_im], axis=1)
     right = ad.concat([ad.neg(w_im), w_re], axis=1)
     return ad.concat([left, right], axis=2)
@@ -150,10 +151,10 @@ def fourier_mix(z: Tensor, params: FourierMixerParams, activation: str = "gelu")
     zh = ad.reshape(zh, (heads, 2 * dh, b * r))
 
     p = params
-    y = ad.bmm(_complex_weight(p.w1_re, p.w1_im), zh) + _complex_bias(p.b1_re, p.b1_im)
+    y = ad.matmul(_complex_weight(p.w1_re, p.w1_im), zh) + _complex_bias(p.b1_re, p.b1_im)
     if activation != "identity":
         y = (ad.gelu if activation == "gelu" else ad.relu)(y)
-    y = ad.bmm(_complex_weight(p.w2_re, p.w2_im), y) + _complex_bias(p.b2_re, p.b2_im)
+    y = ad.matmul(_complex_weight(p.w2_re, p.w2_im), y) + _complex_bias(p.b2_re, p.b2_im)
 
     y = ad.reshape(y, (heads, 2, dh, b, r))
     y = ad.transpose(y, (3, 0, 2, 1, 4))

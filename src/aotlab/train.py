@@ -20,6 +20,7 @@ from .autodiff import Tape, Tensor
 from .checkpoint import config_hash, load_checkpoint, save_checkpoint
 from .container import write_atomic, write_lines
 from .data import SamplingPlan, TrajectoryDataset, family_subset, sample_batch
+from .diagnostics import l2re
 from .errors import FormatError, NumericOverflowError, ShapeError
 from .model import Model, ModelConfig
 
@@ -189,14 +190,9 @@ class AdamW:
     def load_state_blocks(self, blocks: dict, t: int) -> None:
         for name, p in self.params.items():
             for kind, store in (("m", self.m), ("v", self.v)):
-                key = f"{name}.{kind}"
-                if key not in blocks:
-                    raise FormatError(f"checkpoint lacks optimizer block {key!r}")
-                arr = blocks[key]
-                if arr.shape != p.data.shape:
-                    raise FormatError(f"optimizer block {key!r} shape {arr.shape} "
-                                      f"vs parameter shape {p.data.shape}")
-                store[name] = arr.astype(p.data.dtype)
+                # step() updates the moments in place, so each owns its copy
+                store[name] = _checked_array(blocks, f"{name}.{kind}", p.data,
+                                             "optimizer block", "parameter", copy=True)
         self.t = t
 
 
@@ -215,17 +211,24 @@ def save_training_checkpoint(path: str, model, opt: AdamW, step: int,
          "noise": noise_rng.bit_generator.state})
 
 
+def _checked_array(arrays: dict, key: str, like: np.ndarray, what: str,
+                   owner: str, copy: bool = False) -> np.ndarray:
+    """The checkpoint array ``key``, checked against ``like``'s shape and
+    cast to its dtype; ``what`` and ``owner`` name both in errors."""
+    if key not in arrays:
+        raise FormatError(f"checkpoint lacks {what} {key!r}")
+    arr = arrays[key]
+    if arr.shape != like.shape:
+        raise FormatError(f"{what} {key!r} shape {arr.shape} "
+                          f"vs {owner} shape {like.shape}")
+    return arr.astype(like.dtype, copy=copy)
+
+
 def _copy_tensors(named: dict, arrays: dict, what: str) -> None:
     """Set each tensor in ``named`` from the checkpoint array of the same
     name, cast to the tensor's dtype."""
     for name, t in named.items():
-        if name not in arrays:
-            raise FormatError(f"checkpoint lacks {what} {name!r}")
-        arr = arrays[name]
-        if arr.shape != t.data.shape:
-            raise FormatError(f"{what} {name!r} shape {arr.shape} "
-                              f"vs model shape {t.data.shape}")
-        t.data = arr if arr.dtype == t.data.dtype else arr.astype(t.data.dtype)
+        t.data = _checked_array(arrays, name, t.data, what, "model")
 
 
 def _assign_model_tensors(model, ckpt) -> None:
@@ -285,8 +288,6 @@ def validate(model, ds: TrajectoryDataset) -> dict:
     per-sample L2RE over all trajectories and starts.  Padded channels are
     excluded from the metric.
     """
-    from .diagnostics import l2re
-
     t_in = model.cfg.t_in
     out = {}
     for fam in ds.families:

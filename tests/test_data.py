@@ -27,6 +27,7 @@ from aotlab.data import (
     write_manifest,
 )
 import aotlab.data as data
+from aotlab.cli import main
 from aotlab.errors import FormatError, NumericOverflowError, ShapeError
 from aotlab.solvers import (dr_ic, fno_forcing, grf_ic, solve_dr, solve_heat,
                             solve_ns_vorticity)
@@ -208,6 +209,25 @@ def test_dataset_pads_to_common_cmax():
     for traj in ds.trajectories:
         assert traj.shape[-1] == 2
     assert np.all(ds.trajectories[0][..., 1] == PAD_VALUE)
+
+
+def test_family_with_disagreeing_channel_counts_rejected(tmp_path, capsys):
+    """Native channels are taken per family, so a family whose files
+    disagree would be scored on the first file's channels only."""
+    trajs = [np.zeros((12, 8, 8, 1)), np.ones((12, 8, 8, 2))]
+    with pytest.raises(ShapeError, match="'heat' mixes 1 and 2"):
+        TrajectoryDataset(trajs, ["heat", "heat"])
+
+    for i, traj in enumerate(trajs):
+        save_trajectory(str(tmp_path / f"heat_{i}.aotd"), traj, "heat")
+    manifest = str(tmp_path / "m.tsv")
+    write_manifest(manifest, [(f"heat_{i}.aotd", "heat", 1.0) for i in range(2)])
+    with pytest.raises(ShapeError, match="'heat' mixes 1 and 2"):
+        load_dataset(manifest)
+    code = main(["--out", str(tmp_path / "o"), "eval", "--test-manifest", manifest,
+                 "--checkpoint", str(tmp_path / "unread.aotc")])
+    assert code == 2
+    assert "'heat' mixes 1 and 2" in capsys.readouterr().err
 
 
 def test_build_dataset_sizes_and_disjointness():

@@ -72,8 +72,8 @@ def real_graph_reference(z, params, activation="gelu"):
     def layer(re, im, w_re, w_im, b_re, b_im):
         b_re = ad.reshape(b_re, (heads, dh, 1))
         b_im = ad.reshape(b_im, (heads, dh, 1))
-        return (ad.bmm(w_re, re) - ad.bmm(w_im, im) + b_re,
-                ad.bmm(w_im, re) + ad.bmm(w_re, im) + b_im)
+        return (ad.matmul(w_re, re) - ad.matmul(w_im, im) + b_re,
+                ad.matmul(w_im, re) + ad.matmul(w_re, im) + b_im)
 
     flat = ad.reshape(z, (b * c, h * w))
     re = to_heads(ad.matmul(flat, Tensor(np.cos(theta))))

@@ -416,6 +416,49 @@ def test_three_by_three_token_grid_has_fd_consistent_gradients():
             f"{name}: fd {num}, got {got}"
 
 
+# Trainable tensors whose gradient is zero, up to round-off, in the setup of
+# test_desk_parameters_carry_gradient, each with the reason.  Measured
+# maxima |grad| there are given in the reasons; every other tensor reads
+# above 7e-2.
+_FIRST_MIX_INPUT = ("the first sub-layer's input is n identical copies of "
+                    "the lifted field")
+DEAD_AT_DESK_INIT = {
+    "gamma": "d/dgamma cos(gamma t) = -t sin(gamma t) is exactly 0 at "
+             "the zero init",
+    **{f"blocks.0.mix.maps.{p}_a": f"{_FIRST_MIX_INPUT}, and the weights a "
+       "sum to 1, so the contraction is that copy whatever a is (< 1e-21)"
+       for p in ("phi", "alpha", "b")},
+    **{f"blocks.0.mix.maps.{p}_t": f"{_FIRST_MIX_INPUT}, and the rows of a "
+       "doubly stochastic T sum to 1, so T maps them to themselves (< 1e-15)"
+       for p in ("phi", "alpha", "b")},
+    **{f"blocks.{i}.mix.inner.b2_im": "the retained modes come in +-k pairs, "
+       "so a bias on the imaginary part of every mode cancels in the inverse "
+       "transform (< 2e-11)" for i in range(4)},
+}
+
+
+def test_desk_parameters_carry_gradient():
+    """One backward of the desk config at init seed 7, every gate at 0.5,
+    random readout logits and batch 8: exactly the pinned tensors have a
+    max |grad| below 1e-8, so a backward rule that zeroes a gradient fails
+    here, and so does a tensor that comes alive without being unpinned.
+    It runs in f64, where ten orders of magnitude separate the two groups:
+    in f32 the pinned T maps read up to 1e-7, above the floor, and b2_im
+    reads up to 7e-4, within a factor of 100 of the smallest live 7e-2."""
+    cfg = ModelConfig(gate_init=0.5)
+    model = Model(cfg, np.random.default_rng(7))
+    rng = np.random.default_rng(8)
+    model.w_readout.data = rng.standard_normal(cfg.streams)
+    u = window(rng, cfg, b=8)
+    target = rng.standard_normal((8, cfg.height, cfg.width, cfg.channels))
+    with Tape() as tape:
+        loss = denoising_loss(model.forward(Tensor(u)), Tensor(target))
+    tape.backward(loss)
+    dead = [name for name, t in model.trainable_tensors().items()
+            if np.abs(t.grad).max() < 1e-8]
+    assert sorted(dead) == sorted(DEAD_AT_DESK_INIT)
+
+
 def test_desk_training_step_tape_budget():
     """Each Sinkhorn projection and each GroupNorm is one tape node, and
     each mixer enters and leaves the retained modes through one real-table

@@ -139,7 +139,7 @@ def test_matmul_shape_errors():
     with pytest.raises(ShapeError):
         ad.matmul(a, Tensor(np.zeros((3, 2, 2))))
     with pytest.raises(ShapeError):
-        ad.bmm(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((3, 3, 2))))
+        ad.matmul(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((3, 3, 2))))
 
 
 def test_incompatible_broadcast_raises():
@@ -268,7 +268,7 @@ def test_grad_matmul_bmm(seed):
 
     def build(ts):
         a, b, c, d = ts
-        return _weighted(ad.matmul(a, b), w) + ad.tsum(ad.bmm(c, d) * Tensor(wb))
+        return _weighted(ad.matmul(a, b), w) + ad.tsum(ad.matmul(c, d) * Tensor(wb))
 
     check_grad(build, [(3, 4), (4, 5), (2, 3, 4), (2, 4, 5)], seed=800 + seed)
 
@@ -306,12 +306,14 @@ def test_concat_shape_errors():
 def test_grad_reductions_shapes(seed):
     rng = np.random.default_rng(900 + seed)
     w = rng.standard_normal((4, 6))
+    v = rng.standard_normal((3, 4))
 
     def build(ts):
         (x,) = ts
         y = ad.reshape(ad.transpose(x, (1, 0, 2)), (4, 6))
         z = ad.tmean(x, axis=2, keepdims=True) + x
-        return _weighted(y, w) + ad.tsum(z) + ad.tsum(ad.broadcast_to(ad.tsum(x, axis=(0, 1)), (2, 4)))
+        return (_weighted(y, w) + ad.tsum(z) + _weighted(ad.tmean(x, axis=1), v)
+                + ad.tsum(ad.broadcast_to(ad.tsum(x, axis=(0, 1)), (2, 4))))
 
     check_grad(build, [(3, 2, 4)], seed=1000 + seed)
 

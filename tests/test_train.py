@@ -477,23 +477,33 @@ def test_resume_at_the_end_runs_no_step_and_rewrites_the_checkpoint(
             == (tmp_path / "done" / "checkpoint.aotc").read_bytes())
 
 
+def restore(model, path):
+    restore_training_checkpoint(path, model, AdamW(model.trainable_tensors()),
+                                named_stream(0, 0), named_stream(0, 2))
+
+
 @pytest.mark.parametrize("load,edit,match", [
-    (load_transform, lambda t: t.pop("transform.w_in"),
+    (load_transform, lambda t, o: t.pop("transform.w_in"),
      "lacks transform tensor 'transform.w_in'"),
-    (load_transform, lambda t: t.update({"transform.b_out": np.zeros(3)}),
+    (load_transform, lambda t, o: t.update({"transform.b_out": np.zeros(3)}),
      "transform tensor 'transform.b_out' shape"),
-    (load_model_state, lambda t: t.pop("head.w"), r"missing \['head.w'\]"),
-    (load_model_state, lambda t: t.update({"extra.w": np.zeros(2)}),
+    (load_model_state, lambda t, o: t.pop("head.w"), r"missing \['head.w'\]"),
+    (load_model_state, lambda t, o: t.update({"extra.w": np.zeros(2)}),
      r"extra \['extra.w'\]"),
-    (load_model_state, lambda t: t.update({"head.b": np.zeros(3)}),
+    (load_model_state, lambda t, o: t.update({"head.b": np.zeros(3)}),
      "tensor 'head.b' shape"),
+    (restore, lambda t, o: o.pop("head.w.m"),
+     "lacks optimizer block 'head.w.m'"),
+    (restore, lambda t, o: o.update({"head.b.v": np.zeros(3)}),
+     r"optimizer block 'head.b.v' shape \(3,\) vs parameter shape"),
 ])
 def test_model_loaders_name_the_bad_tensor(tmp_path, load, edit, match):
     model = tiny_model()
     tensors = {k: t.data for k, t in model.named_tensors().items()}
-    edit(tensors)
+    opt_blocks = AdamW(model.trainable_tensors()).state_blocks()
+    edit(tensors, opt_blocks)
     path = str(tmp_path / "c.aotc")
-    save_checkpoint(path, config_hash(model.cfg), 0, tensors, {}, {})
+    save_checkpoint(path, config_hash(model.cfg), 0, tensors, opt_blocks, {})
     with pytest.raises(FormatError, match=match):
         load(model, path)
 

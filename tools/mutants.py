@@ -1,0 +1,125 @@
+"""Mutation check of the autodiff adjoint rules: does the suite notice a wrong one?
+
+From the repository root::
+
+    python tools/mutants.py
+
+Each mutant below is one text substitution in ``src/aotlab/autodiff.py``
+that breaks one adjoint rule: a gradient of ``add``, ``sub``, ``mul`` or
+``div`` with a flipped sign or swapped operands, ``neg``, either ``matmul``
+operand without its transpose, the ``tsum`` and ``tmean`` reductions, and
+the accumulation in ``Tape.backward``.  For each, the repository is copied
+to a temporary directory, the mutant is applied there, and the suite runs::
+
+    python -m pytest -x -q tests bench/tests --deselect tests/test_acceptance.py
+
+A mutant survives when that run passes.  The unmutated copy is run first,
+since a suite that already fails would kill every mutant.  The tool prints
+every survivor and exits 1 if there is one; it never writes to the working
+tree.  The runs are sequential and each takes up to a full suite run, so
+the tool is not part of the regular test run.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TARGET = os.path.join("src", "aotlab", "autodiff.py")
+COMMAND = [sys.executable, "-m", "pytest", "-x", "-q", "tests", "bench/tests",
+           "--deselect", "tests/test_acceptance.py"]
+IGNORE = shutil.ignore_patterns(".git", "bench_runs", "__pycache__",
+                                ".pytest_cache", ".hypothesis")
+
+# (name, text in autodiff.py, replacement); each text occurs exactly once
+MUTANTS = [
+    ("add: grad a sign", "np.add, a, b, lambda g, ad, bd: (g, g)",
+     "np.add, a, b, lambda g, ad, bd: (-g, g)"),
+    ("add: grad b sign", "np.add, a, b, lambda g, ad, bd: (g, g)",
+     "np.add, a, b, lambda g, ad, bd: (g, -g)"),
+    ("sub: grad a sign", "np.subtract, a, b, lambda g, ad, bd: (g, -g)",
+     "np.subtract, a, b, lambda g, ad, bd: (-g, -g)"),
+    ("sub: grad b sign", "np.subtract, a, b, lambda g, ad, bd: (g, -g)",
+     "np.subtract, a, b, lambda g, ad, bd: (g, g)"),
+    ("mul: grad a uses ad", "(g * bd, g * ad)", "(g * ad, g * ad)"),
+    ("mul: grad b uses bd", "(g * bd, g * ad)", "(g * bd, g * bd)"),
+    ("mul: grad a sign", "(g * bd, g * ad)", "(-g * bd, g * ad)"),
+    ("div: grad a uses ad", "(g / bd, -g * ad / (bd * bd))",
+     "(g / ad, -g * ad / (bd * bd))"),
+    ("div: grad a sign", "(g / bd, -g * ad / (bd * bd))",
+     "(-g / bd, -g * ad / (bd * bd))"),
+    ("div: grad b swaps ad and bd", "(g / bd, -g * ad / (bd * bd))",
+     "(g / bd, -g * bd / (ad * ad))"),
+    ("div: grad b sign", "(g / bd, -g * ad / (bd * bd))",
+     "(g / bd, g * ad / (bd * bd))"),
+    ("neg: grad sign", "_unary(a, -a.data, -1)", "_unary(a, -a.data, 1)"),
+    ("matmul: grad a untransposed", "acc(a, g @ bd.swapaxes(-1, -2))",
+     "acc(a, g @ bd)"),
+    ("matmul: grad b untransposed", "acc(b, ad.swapaxes(-1, -2) @ g)",
+     "acc(b, ad @ g)"),
+    ("tsum: no expand_dims", "            g = np.expand_dims(g, axis)\n",
+     "            pass\n"),
+    ("tsum: expand_dims also under keepdims",
+     "if axis is not None and not keepdims:", "if axis is not None:"),
+    ("tmean: count over all elements", "(1.0 / (a.size // total.size))",
+     "(1.0 / a.size)"),
+    ("Tape.backward: overwrite in the pass",
+     "if held is None else held + g", "if held is None else g"),
+    ("Tape.backward: overwrite across calls",
+     "t.grad = g if t.grad is None else t.grad + g", "t.grad = g"),
+]
+
+
+def run_suite(tree: str) -> bool:
+    """True when the suite passes in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    done = subprocess.run(COMMAND, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+    return done.returncode == 0
+
+
+def check(mutant: tuple | None) -> bool:
+    """Copy the repository, apply ``mutant`` (None: none) and run the suite."""
+    with tempfile.TemporaryDirectory(prefix="aotlab-mutant-") as tmp:
+        tree = os.path.join(tmp, "repo")
+        shutil.copytree(ROOT, tree, ignore=IGNORE)
+        if mutant is not None:
+            name, old, new = mutant
+            path = os.path.join(tree, TARGET)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            if text.count(old) != 1:
+                raise SystemExit(f"mutant {name!r}: its text occurs "
+                                 f"{text.count(old)} times in {TARGET}")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text.replace(old, new))
+        return run_suite(tree)
+
+
+def main() -> int:
+    t0 = time.perf_counter()
+    if not check(None):
+        print("the unmutated suite fails; no mutant can be judged")
+        return 2
+    print(f"unmutated suite passes ({time.perf_counter() - t0:.0f} s)")
+    survivors = []
+    for mutant in MUTANTS:
+        t0 = time.perf_counter()
+        passed = check(mutant)
+        print(f"{'SURVIVED' if passed else 'killed':8s}  {mutant[0]}  "
+              f"({time.perf_counter() - t0:.0f} s)", flush=True)
+        if passed:
+            survivors.append(mutant[0])
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    for name in survivors:
+        print(f"survivor: {name}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
