@@ -182,6 +182,27 @@ class Tensor:
         return tsum(self, axis=axis, keepdims=keepdims)
 
 
+class Module:
+    """Base of every layer that holds tensors; names them by attribute.
+
+    ``named(prefix)`` walks the instance attributes in the order they were
+    first assigned: a ``Tensor`` is named ``prefix.attr``, a ``Module``
+    contributes its own names under ``prefix.attr``, and every other
+    attribute is skipped.  Assignment order is name order, and name order
+    is the checkpoint's block order, the optimizer state's and the order
+    of the clip-norm sum.
+    """
+
+    def named(self, prefix: str) -> dict:
+        out = {}
+        for attr, value in vars(self).items():
+            if isinstance(value, Tensor):
+                out[f"{prefix}.{attr}"] = value
+            elif isinstance(value, Module):
+                out.update(value.named(f"{prefix}.{attr}"))
+        return out
+
+
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 

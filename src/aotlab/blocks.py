@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Module, Tensor
 from .errors import ShapeError
 from .mixer import FourierMixerParams, fourier_mix
 from .sinkhorn import sinkhorn_tensor
@@ -32,30 +32,25 @@ from .sinkhorn import sinkhorn_tensor
 # building blocks shared by the whole network
 # ---------------------------------------------------------------------
 
-class Linear:
+GROUP_NORM_EPS = 1e-5
+RMS_NORM_EPS = 1e-6
+
+
+class Linear(Module):
     """Dense layer y = x W + b acting on the last axis of 2-D input."""
 
-    def __init__(self, w: Tensor, b: Tensor):
-        self.w = w
-        self.b = b
-
-    @classmethod
-    def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator) -> "Linear":
-        w = Tensor(np.sqrt(2.0 / in_dim) * rng.standard_normal((in_dim, out_dim)),
-                   requires_grad=True)
-        b = Tensor(np.zeros(out_dim), requires_grad=True)
-        return cls(w, b)
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
+        self.w = Tensor(np.sqrt(2.0 / in_dim) * rng.standard_normal((in_dim, out_dim)),
+                        requires_grad=True)
+        self.b = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.matmul(x, self.w) + self.b
 
-    def named(self, prefix: str) -> dict:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
-
-class GroupNorm:
-    """Per-group standardization over (channels-in-group, H, W), eps 1e-5,
-    learnable per-channel affine.
+class GroupNorm(Module):
+    """Per-group standardization over (channels-in-group, H, W), eps
+    ``GROUP_NORM_EPS``, learnable per-channel affine.
 
     A call records one fused tape node.  Its backward replays, in reverse,
     exactly the numpy operations the tape would run for the op-by-op graph
@@ -65,15 +60,13 @@ class GroupNorm:
     are bit-identical to it at one node instead of fifteen.
     """
 
-    def __init__(self, channels: int, groups: int, scale: Tensor, shift: Tensor,
-                 eps: float = 1e-5):
+    def __init__(self, channels: int, groups: int, scale: Tensor, shift: Tensor):
         if channels % groups != 0:
             raise ShapeError(f"channels {channels} not divisible by groups {groups}")
         self.channels = channels
         self.groups = groups
         self.scale = scale
         self.shift = shift
-        self.eps = eps
 
     @classmethod
     def init(cls, channels: int, groups: int) -> "GroupNorm":
@@ -92,7 +85,7 @@ class GroupNorm:
         xg = x.data.reshape((b, g, c // g, h, w))
         mean = xg.sum(axis=axes, keepdims=True) * inv_count
         centered = xg - mean
-        var_eps = (centered * centered).sum(axis=axes, keepdims=True) * inv_count + self.eps
+        var_eps = (centered * centered).sum(axis=axes, keepdims=True) * inv_count + GROUP_NORM_EPS
         r = 1.0 / np.sqrt(var_eps)
         y = (centered * r).reshape((b, c, h, w))
         scale, shift = self.scale, self.shift
@@ -118,18 +111,15 @@ class GroupNorm:
         ad.record(out, bwd)
         return out
 
-    def named(self, prefix: str) -> dict:
-        return {f"{prefix}.scale": self.scale, f"{prefix}.shift": self.shift}
-
 
 def default_groups(channels: int) -> int:
     return 8 if channels % 8 == 0 else 1
 
 
-def rms_norm(v: Tensor, scale: Tensor, eps: float = 1e-6) -> Tensor:
+def rms_norm(v: Tensor, scale: Tensor) -> Tensor:
     """Root-mean-square normalization over the last axis of (B, D) input."""
     ms = ad.tmean(v * v, axis=-1, keepdims=True)
-    return v * ad.rsqrt(ms + eps) * scale
+    return v * ad.rsqrt(ms + RMS_NORM_EPS) * scale
 
 
 def softmax_vector(w: Tensor) -> Tensor:
@@ -138,16 +128,12 @@ def softmax_vector(w: Tensor) -> Tensor:
     return e / ad.tsum(e)
 
 
-class ChannelMLP:
+class ChannelMLP(Module):
     """Pointwise two-layer MLP over channels with GELU in between."""
 
-    def __init__(self, lin1: Linear, lin2: Linear):
-        self.lin1 = lin1
-        self.lin2 = lin2
-
-    @classmethod
-    def init(cls, dim: int, rng: np.random.Generator) -> "ChannelMLP":
-        return cls(Linear.init(dim, dim, rng), Linear.init(dim, dim, rng))
+    def __init__(self, dim: int, rng: np.random.Generator):
+        self.lin1 = Linear(dim, dim, rng)
+        self.lin2 = Linear(dim, dim, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         b, c, h, w = x.shape
@@ -155,25 +141,20 @@ class ChannelMLP:
         out = self.lin2(ad.gelu(self.lin1(flat)))
         return ad.transpose(ad.reshape(out, (b, h, w, c)), (0, 3, 1, 2))
 
-    def named(self, prefix: str) -> dict:
-        return {**self.lin1.named(f"{prefix}.lin1"), **self.lin2.named(f"{prefix}.lin2")}
 
-
-class MixerSubLayer:
+class MixerSubLayer(Module):
     """Adapter giving the Fourier mixer the sub-layer interface."""
 
-    def __init__(self, params: FourierMixerParams, activation: str = "gelu"):
-        self.params = params
+    def __init__(self, dim: int, heads: int, modes: int, rng: np.random.Generator,
+                 activation: str = "gelu"):
+        self.params = FourierMixerParams.init(dim, heads, modes, rng)
         self.activation = activation
-
-    @classmethod
-    def init(cls, dim, heads, modes, rng, activation="gelu"):
-        return cls(FourierMixerParams.init(dim, heads, modes, rng), activation)
 
     def forward(self, x: Tensor) -> Tensor:
         return fourier_mix(x, self.params, activation=self.activation)
 
     def named(self, prefix: str) -> dict:
+        # the mixer's tensors sit directly under the sub-layer's prefix
         return self.params.named(prefix)
 
 
@@ -201,49 +182,29 @@ class AotMaps:
     t: Tensor            # (B, n, n), doubly stochastic to residual
 
 
-class AotParams:
+class AotParams(Module):
     """Per-sub-layer parameters of the three adaptive maps."""
 
-    def __init__(self, n, channels, phi_a, phi_d, phi_t, alpha_a, alpha_d, alpha_t,
-                 b_a, b_d, b_t, rms_scale):
+    def __init__(self, n: int, channels: int, rng: np.random.Generator,
+                 gate_init: float = 0.01):
         self.n = n
         self.channels = channels
-        self.phi_a, self.phi_d, self.phi_t = phi_a, phi_d, phi_t
-        self.alpha_a, self.alpha_d, self.alpha_t = alpha_a, alpha_d, alpha_t
-        self.b_a, self.b_d, self.b_t = b_a, b_d, b_t
-        self.rms_scale = rms_scale
-
-    @classmethod
-    def init(cls, n: int, channels: int, rng: np.random.Generator,
-             gate_init: float = 0.01) -> "AotParams":
         nc = n * channels
         scale = 1.0 / np.sqrt(nc)
 
-        def phi(cols):
-            return Tensor(scale * rng.standard_normal((nc, cols)), requires_grad=True)
+        def param(data):
+            return Tensor(data, requires_grad=True)
 
-        def gate():
-            return Tensor(gate_init, requires_grad=True)
-
-        return cls(
-            n, channels,
-            phi_a=phi(n), phi_d=phi(n), phi_t=phi(n * n),
-            alpha_a=gate(), alpha_d=gate(), alpha_t=gate(),
-            b_a=Tensor(np.zeros(n), requires_grad=True),
-            b_d=Tensor(np.zeros(n), requires_grad=True),
-            b_t=Tensor(np.eye(n).reshape(-1), requires_grad=True),
-            rms_scale=Tensor(np.ones(nc), requires_grad=True),
-        )
-
-    def named(self, prefix: str) -> dict:
-        return {
-            f"{prefix}.phi_a": self.phi_a, f"{prefix}.phi_d": self.phi_d,
-            f"{prefix}.phi_t": self.phi_t,
-            f"{prefix}.alpha_a": self.alpha_a, f"{prefix}.alpha_d": self.alpha_d,
-            f"{prefix}.alpha_t": self.alpha_t,
-            f"{prefix}.b_a": self.b_a, f"{prefix}.b_d": self.b_d, f"{prefix}.b_t": self.b_t,
-            f"{prefix}.rms_scale": self.rms_scale,
-        }
+        self.phi_a = param(scale * rng.standard_normal((nc, n)))
+        self.phi_d = param(scale * rng.standard_normal((nc, n)))
+        self.phi_t = param(scale * rng.standard_normal((nc, n * n)))
+        self.alpha_a = param(gate_init)
+        self.alpha_d = param(gate_init)
+        self.alpha_t = param(gate_init)
+        self.b_a = param(np.zeros(n))
+        self.b_d = param(np.zeros(n))
+        self.b_t = param(np.eye(n).reshape(-1))
+        self.rms_scale = param(np.ones(nc))
 
 
 def compute_maps(x: Tensor, params: AotParams, sinkhorn_iters: int = 20) -> AotMaps:
@@ -305,50 +266,31 @@ def readout(x: Tensor, w: Tensor) -> Tensor:
 # the wrapped sub-layer
 # ---------------------------------------------------------------------
 
-class AotSubLayer:
+class AotSubLayer(Module):
     """One adaptive residual application: maps + sandwich-normalized inner
     sub-layer.  ``strict_identity`` replaces T by the exact identity and
     skips the Sinkhorn projection; aggregation and redistribution still run
     (with zero gates they are exactly uniform / all-ones)."""
 
-    def __init__(self, inner, params: AotParams, pre: GroupNorm, post: GroupNorm,
-                 sinkhorn_iters: int = 20):
-        self.inner = inner
-        self.params = params
-        self.pre = pre
-        self.post = post
-        self.sinkhorn_iters = sinkhorn_iters
-
-    @classmethod
-    def init(cls, inner, n: int, channels: int, rng: np.random.Generator,
-             gate_init: float = 0.01, sinkhorn_iters: int = 20,
-             groups: int | None = None) -> "AotSubLayer":
+    def __init__(self, inner: Module, n: int, channels: int, rng: np.random.Generator,
+                 gate_init: float = 0.01, sinkhorn_iters: int = 20,
+                 groups: int | None = None):
         if groups is None:
             groups = default_groups(channels)
-        return cls(
-            inner,
-            AotParams.init(n, channels, rng, gate_init),
-            GroupNorm.init(channels, groups),
-            GroupNorm.init(channels, groups),
-            sinkhorn_iters,
-        )
+        self.inner = inner
+        self.maps = AotParams(n, channels, rng, gate_init)
+        self.pre = GroupNorm.init(channels, groups)
+        self.post = GroupNorm.init(channels, groups)
+        self.sinkhorn_iters = sinkhorn_iters
 
     def _wrapped(self, u: Tensor) -> Tensor:
         return self.post(self.inner.forward(self.pre(u)))
 
     def forward(self, x: Tensor, strict_identity: bool = False):
         """Returns (next state, AotMaps or None)."""
-        maps = None if strict_identity else compute_maps(x, self.params, self.sinkhorn_iters)
+        maps = None if strict_identity else compute_maps(x, self.maps, self.sinkhorn_iters)
         return aot_update(x, maps, self._wrapped), maps
 
     def reference_forward(self, u: Tensor) -> Tensor:
         """Single-stream residual using the same sub-layer weights."""
         return u + self._wrapped(u)
-
-    def named(self, prefix: str) -> dict:
-        out = {}
-        out.update(self.inner.named(f"{prefix}.inner"))
-        out.update(self.params.named(f"{prefix}.maps"))
-        out.update(self.pre.named(f"{prefix}.pre"))
-        out.update(self.post.named(f"{prefix}.post"))
-        return out

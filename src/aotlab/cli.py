@@ -211,19 +211,23 @@ def cmd_rollout(cfg: RunConfig, args: argparse.Namespace) -> None:
     # each frame is scored whole, as a one-sample batch
     errors = [l2re(res.frames[s:s + 1, ..., :nc], truth[s:s + 1])
               for s in range(scored)]
-    aotd_path = os.path.join(cfg.out, "rollout.aotd")
-    save_trajectory(aotd_path, res.frames[..., :nc].astype(np.float32),
-                    args.family)
     csv_path = os.path.join(cfg.out, "rollout.csv")
     write_lines(csv_path, ["step,l2re"]
                 + [f"{s},{err!r}" for s, err in enumerate(errors)])
     lines = [f"rollout {args.family}[{args.index}] for {steps} steps"]
     if res.blowup_step is not None:
         lines.append(f"  numeric blow-up at step {res.blowup_step}; "
-                     f"partial trajectory kept")
+                     + ("partial trajectory kept" if steps else "no frame to keep"))
     if errors:
         lines.append(f"  L2RE first {errors[0]:.6g} last {errors[-1]:.6g}")
-    lines += [f"trajectory: {aotd_path}", f"errors: {csv_path}"]
+    if steps:
+        aotd_path = os.path.join(cfg.out, "rollout.aotd")
+        save_trajectory(aotd_path, res.frames[..., :nc].astype(np.float32),
+                        args.family)
+        lines.append(f"trajectory: {aotd_path}")
+    else:
+        lines.append("trajectory: none written (an AOTD file needs at least one frame)")
+    lines.append(f"errors: {csv_path}")
     _summary(cfg, lines)
 
 

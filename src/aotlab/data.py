@@ -19,6 +19,7 @@ relative path, family label, sampling weight.  Both are written atomically.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -325,8 +326,8 @@ class SamplingPlan:
     def __post_init__(self):
         if not self.weights:
             raise ValueError("plan needs at least one family weight")
-        if any(w < 0 for w in self.weights.values()):
-            raise ValueError("weights must be nonnegative")
+        if not all(0 <= w < math.inf for w in self.weights.values()):
+            raise ValueError("weights must be finite and nonnegative")
         if sum(self.weights.values()) <= 0:
             raise ValueError("at least one weight must be positive")
 
@@ -396,9 +397,10 @@ def read_manifest(path: str) -> list[tuple[str, str, float]]:
                               f"fields, got {len(parts)}")
         try:
             weight = float(parts[2])
-        except ValueError as err:
-            raise FormatError(f"{path}:{lineno}: bad weight "
-                              f"{parts[2]!r}") from err
+        except ValueError:
+            weight = math.nan
+        if not math.isfinite(weight):
+            raise FormatError(f"{path}:{lineno}: bad weight {parts[2]!r}")
         entries.append((parts[0], parts[1], weight))
     if not entries:
         raise FormatError(f"{path}: manifest is empty")

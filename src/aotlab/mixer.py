@@ -35,13 +35,13 @@ import functools
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Module, Tensor
 from .errors import ShapeError
 
 ACTIVATIONS = ("gelu", "relu", "identity")
 
 
-class FourierMixerParams:
+class FourierMixerParams(Module):
     """Complex per-head MLP weights stored as (re, im) tensor pairs.
 
     ``b2_im`` has gradient 0 in exact arithmetic: the retained modes come in
@@ -76,14 +76,6 @@ class FourierMixerParams:
             return Tensor(np.zeros((heads, dh)), requires_grad=True)
 
         return cls(dim, heads, modes, w(), w(), b(), b(), w(), w(), b(), b())
-
-    def named(self, prefix: str) -> dict:
-        return {
-            f"{prefix}.w1_re": self.w1_re, f"{prefix}.w1_im": self.w1_im,
-            f"{prefix}.b1_re": self.b1_re, f"{prefix}.b1_im": self.b1_im,
-            f"{prefix}.w2_re": self.w2_re, f"{prefix}.w2_im": self.w2_im,
-            f"{prefix}.b2_re": self.b2_re, f"{prefix}.b2_im": self.b2_im,
-        }
 
 
 def mode_mask(h: int, w: int, modes: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Module, Tensor
 from .blocks import (
     AotSubLayer,
     ChannelMLP,
@@ -78,40 +78,25 @@ class ModelConfig:
 TRANSFORM_MODES = ("vanilla", "learned", "frozen")
 
 
-class LinearTransformPair:
+class LinearTransformPair(Module):
     """Pointwise channel transforms wrapping the whole network (W_out o G o
-    W_in).  ``vanilla`` leaves the model untouched; ``learned`` trains the
-    transforms; ``frozen`` applies them but suppresses their gradients.  The
-    mode is fixed when the pair is built."""
+    W_in), built as the identity.  ``vanilla`` leaves the model untouched;
+    ``learned`` trains the transforms; ``frozen`` applies them but
+    suppresses their gradients.  The mode is fixed when the pair is built."""
 
-    def __init__(self, w_in: Tensor, b_in: Tensor, w_out: Tensor, b_out: Tensor,
-                 mode: str = "vanilla"):
+    def __init__(self, channels: int, mode: str = "vanilla"):
         if mode not in TRANSFORM_MODES:
             raise ValueError(f"unknown transform mode {mode!r}; options: {TRANSFORM_MODES}")
-        self.w_in, self.b_in = w_in, b_in
-        self.w_out, self.b_out = w_out, b_out
-        self.mode = mode
-
-    @classmethod
-    def init(cls, channels: int, mode: str = "vanilla"):
         trainable = mode == "learned"
-        return cls(
-            Tensor(np.eye(channels), requires_grad=trainable),
-            Tensor(np.zeros(channels), requires_grad=trainable),
-            Tensor(np.eye(channels), requires_grad=trainable),
-            Tensor(np.zeros(channels), requires_grad=trainable),
-            mode,
-        )
+        self.w_in = Tensor(np.eye(channels), requires_grad=trainable)
+        self.b_in = Tensor(np.zeros(channels), requires_grad=trainable)
+        self.w_out = Tensor(np.eye(channels), requires_grad=trainable)
+        self.b_out = Tensor(np.zeros(channels), requires_grad=trainable)
+        self.mode = mode
 
     @property
     def active(self) -> bool:
         return self.mode != "vanilla"
-
-    def named(self, prefix: str) -> dict:
-        return {
-            f"{prefix}.w_in": self.w_in, f"{prefix}.b_in": self.b_in,
-            f"{prefix}.w_out": self.w_out, f"{prefix}.b_out": self.b_out,
-        }
 
 
 def apply_linear_transform(u: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -159,24 +144,21 @@ class Model:
         # built in float64 and cast once at the end, which gives the same
         # bits as casting each tensor as it is drawn
         self.w_p = Tensor(np.zeros((c, 3)), requires_grad=True)
-        self.patch = Linear.init(p * p * c, dz, rng)
-        self.t_mlp = ChannelMLP.init(dz, rng)
+        self.patch = Linear(p * p * c, dz, rng)
+        self.t_mlp = ChannelMLP(dz, rng)
         self.gamma = Tensor(np.zeros(dz), requires_grad=True)
 
-        self.block_sublayers: list[AotSubLayer] = []
-        for _ in range(cfg.blocks):
-            mix = MixerSubLayer.init(dz, cfg.heads, cfg.modes, rng, cfg.activation)
-            self.block_sublayers.append(AotSubLayer.init(
-                mix, cfg.streams, dz, rng, cfg.gate_init, cfg.sinkhorn_iters,
-                cfg.norm_groups()))
-            mlp = ChannelMLP.init(dz, rng)
-            self.block_sublayers.append(AotSubLayer.init(
-                mlp, cfg.streams, dz, rng, cfg.gate_init, cfg.sinkhorn_iters,
-                cfg.norm_groups()))
+        # each inner layer draws from rng before the maps that wrap it
+        inners = (lambda: MixerSubLayer(dz, cfg.heads, cfg.modes, rng, cfg.activation),
+                  lambda: ChannelMLP(dz, rng))
+        self.block_sublayers = [
+            AotSubLayer(inner(), cfg.streams, dz, rng, cfg.gate_init,
+                        cfg.sinkhorn_iters, cfg.norm_groups())
+            for _ in range(cfg.blocks) for inner in inners]
 
         self.w_readout = Tensor(np.zeros(cfg.streams), requires_grad=True)
-        self.head = Linear.init(dz, p * p * c, rng)
-        self.transform = LinearTransformPair.init(c, transform_mode)
+        self.head = Linear(dz, p * p * c, rng)
+        self.transform = LinearTransformPair(c, transform_mode)
         self._coord_cache: np.ndarray | None = None
         self.astype(dtype)
 
@@ -210,7 +192,7 @@ class Model:
         """Parameters of the adaptive maps plus the readout logits."""
         total = self.w_readout.size
         for sub in self.block_sublayers:
-            total += sum(t.size for t in sub.params.named("x").values())
+            total += sum(t.size for t in sub.maps.named("maps").values())
         return total
 
     def _coords(self) -> np.ndarray:

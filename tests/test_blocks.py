@@ -8,6 +8,7 @@ import pytest
 from aotlab import autodiff as ad
 from aotlab.autodiff import Tape, Tensor
 from aotlab.blocks import (
+    GROUP_NORM_EPS,
     AotMaps,
     AotParams,
     AotSubLayer,
@@ -91,7 +92,7 @@ def group_norm_ops(gn, x):
     mean = ad.tmean(xg, axis=(2, 3, 4), keepdims=True)
     centered = xg - mean
     var = ad.tmean(centered * centered, axis=(2, 3, 4), keepdims=True)
-    y = ad.reshape(centered * ad.rsqrt(var + gn.eps), (b, c, h, w))
+    y = ad.reshape(centered * ad.rsqrt(var + GROUP_NORM_EPS), (b, c, h, w))
     return y * ad.reshape(gn.scale, (1, c, 1, 1)) + ad.reshape(gn.shift, (1, c, 1, 1))
 
 
@@ -189,7 +190,7 @@ def test_softmax_vector():
 
 def test_channel_mlp_is_pointwise_and_matches_oracle():
     rng = np.random.default_rng(4)
-    mlp = ChannelMLP.init(4, rng)
+    mlp = ChannelMLP(4, rng)
     x = rng.standard_normal((2, 4, 4, 4))
     out = mlp.forward(Tensor(x)).numpy()
 
@@ -215,7 +216,7 @@ def test_channel_mlp_is_pointwise_and_matches_oracle():
 # ---------------------------------------------------------------------
 
 def init_params(n=4, c=4, gate_init=0.01, seed=0):
-    return AotParams.init(n, c, np.random.default_rng(seed), gate_init=gate_init)
+    return AotParams(n, c, np.random.default_rng(seed), gate_init=gate_init)
 
 
 def test_maps_at_zero_gates_are_the_documented_start_state():
@@ -379,10 +380,10 @@ def test_readout_shape_check():
 def make_sublayer(seed, gate_init=0.01, inner_kind="mixer", n=4, c=4):
     rng = np.random.default_rng(seed)
     if inner_kind == "mixer":
-        inner = MixerSubLayer.init(c, 2, 2, rng)
+        inner = MixerSubLayer(c, 2, 2, rng)
     else:
-        inner = ChannelMLP.init(c, rng)
-    return AotSubLayer.init(inner, n, c, rng, gate_init=gate_init)
+        inner = ChannelMLP(c, rng)
+    return AotSubLayer(inner, n, c, rng, gate_init=gate_init)
 
 
 @pytest.mark.parametrize("inner_kind", ["mixer", "mlp"])

@@ -241,6 +241,19 @@ def test_train_without_manifest_is_usage_error(tmp_path):
     assert run("--out", tmp_path, "train") == 1
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_train_on_non_finite_manifest_weight_exits_two(corpus, tmp_path, capsys,
+                                                       weight):
+    lines = (corpus / "train_manifest.tsv").read_text().strip().split("\n")
+    rel, family, _ = lines[0].split("\t")
+    manifest = tmp_path / "bad.tsv"
+    manifest.write_text("\n".join([f"{corpus / rel}\t{family}\t{weight}"]
+                                  + lines[1:]) + "\n")
+    code = run("--out", tmp_path / "o", "train", "--manifest", manifest)
+    assert code == 2
+    assert f"bad.tsv:1: bad weight '{weight}'" in capsys.readouterr().err
+
+
 def test_eval_reproduces_final_validation(tiny_ini, trained, tmp_path):
     assert run("--config", tiny_ini, "--out", tmp_path, "eval",
                "--checkpoint", trained / "checkpoint.aotc") == 0
@@ -333,6 +346,28 @@ def test_rollout_artifacts_and_horizon_one(tiny_ini, trained, corpus,
     want = (np.linalg.norm((frames[0] - truth).astype(np.float64))
             / np.linalg.norm(truth.astype(np.float64)))
     assert float(lines[1].split(",")[1]) == pytest.approx(want, rel=1e-12)
+
+
+def test_rollout_blowup_on_first_step_is_reported(tiny_ini, trained, tmp_path,
+                                                  capsys):
+    """A model that is non-finite from its first prediction rolls out no
+    frame: the run still succeeds, says so, and writes a header-only CSV
+    but no trajectory, since an AOTD file needs at least one frame."""
+    ck = load_checkpoint(str(trained / "checkpoint.aotc"))
+    ck.tensors["head.w"] = ck.tensors["head.w"] * np.float32(1e38)
+    bad = str(tmp_path / "bad.aotc")
+    save_checkpoint(bad, ck.config_hash, ck.step, ck.tensors, ck.opt_tensors,
+                    ck.rng_state)
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run("--config", tiny_ini, "--seed", 5, "--out", out, "rollout",
+                   "--checkpoint", bad, "--family", "heat")
+    assert code == 0, capsys.readouterr().err
+    summary = (out / "summary.txt").read_text()
+    assert "numeric blow-up at step 0; no frame to keep" in summary
+    assert "trajectory: none written" in summary
+    assert (out / "rollout.csv").read_text().strip() == "step,l2re"
+    assert not (out / "rollout.aotd").exists()
 
 
 def test_rollout_bad_family_or_index(tiny_ini, trained, tmp_path):

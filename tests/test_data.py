@@ -420,6 +420,9 @@ def test_plan_validation_and_family_probs():
         SamplingPlan({"a": -1.0})
     with pytest.raises(ValueError):
         SamplingPlan({"a": 0.0})
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            SamplingPlan({"heat": bad, "ns_vorticity": 1.0})
     plan = SamplingPlan({"fam0": 3.0, "fam1": 1.0})
     with pytest.raises(ValueError):
         plan.family_probs(["fam0", "fam2"])
@@ -446,6 +449,10 @@ def test_manifest_malformed_lines(tmp_path):
     open(path, "w").write("a.aotd\theat\tnotafloat\n")
     with pytest.raises(FormatError, match="weight"):
         read_manifest(path)
+    for bad in ("nan", "inf", "-inf"):
+        open(path, "w").write(f"a.aotd\theat\t1.0\nb.aotd\theat\t{bad}\n")
+        with pytest.raises(FormatError, match=f"m.tsv:2: bad weight '{bad}'"):
+            read_manifest(path)
     open(path, "w").write("\n")
     with pytest.raises(FormatError, match="empty"):
         read_manifest(path)

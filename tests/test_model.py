@@ -1,5 +1,7 @@
 """Assembled network: embedding, aggregation, forward contracts, gradients."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from aotlab import autodiff as ad
 from aotlab.autodiff import Tape, Tensor
 from aotlab.errors import NumericOverflowError, ShapeError
 from aotlab.model import (
+    TRANSFORM_MODES,
     LinearTransformPair,
     Model,
     ModelConfig,
@@ -14,7 +17,7 @@ from aotlab.model import (
     apply_linear_transform,
     temporal_aggregate,
 )
-from aotlab.train import denoising_loss
+from aotlab.train import STREAM_INIT, denoising_loss, named_stream
 
 
 def tiny_cfg(**kw):
@@ -247,13 +250,13 @@ def test_forward_overflow_reports_location():
 # ---------------------------------------------------------------------
 
 def test_transform_identity_pair_is_noop():
-    pair = LinearTransformPair.init(3, "learned")
+    pair = LinearTransformPair(3, "learned")
     u = np.random.default_rng(26).standard_normal((2, 4, 4, 3))
     np.testing.assert_array_equal(apply_linear_transform(Tensor(u), pair.w_in, pair.b_in).numpy(), u)
 
 
 def test_transform_doubling():
-    pair = LinearTransformPair.init(3, "learned")
+    pair = LinearTransformPair(3, "learned")
     pair.w_out.data = 2.0 * np.eye(3)
     u = np.random.default_rng(27).standard_normal((5, 3))
     np.testing.assert_allclose(apply_linear_transform(Tensor(u), pair.w_out, pair.b_out).numpy(),
@@ -273,7 +276,7 @@ def test_transform_mode_controls_gradients():
 
 def test_transform_bad_mode_rejected():
     with pytest.raises(ValueError):
-        LinearTransformPair.init(3, "adaptive")
+        LinearTransformPair(3, "adaptive")
 
 
 # ---------------------------------------------------------------------
@@ -308,6 +311,32 @@ def test_param_count_matches_closed_form():
         total, aot_total = expected_counts(cfg)
         assert model.param_count() == total
         assert model.aot_param_count() == aot_total
+
+
+# SHA-256 of the desk model's ordered "name shape requires_grad" lines, and
+# of its concatenated f64 init bytes, at init seed 7 (named_stream).  The
+# order is the checkpoint's block order, the AdamW state's and the order
+# of the clip-norm sum; the bytes pin the init RNG's draw order.
+PINNED_DESK_PARAMETERS = {
+    "vanilla": ("00982699e76ddaa932f565077b6314b20bdfbd051e375e8c4ad1d9ae3d009255",
+                "4ab4f0c4966260deff839d7834f1bda9f26db15b762b47e05cd4ed52c4499500"),
+    "learned": ("d26db3efa7d733d334a14de64744b22435bec8b41d636e6d297f600ec3787da2",
+                "4ab4f0c4966260deff839d7834f1bda9f26db15b762b47e05cd4ed52c4499500"),
+    "frozen": ("00982699e76ddaa932f565077b6314b20bdfbd051e375e8c4ad1d9ae3d009255",
+               "4ab4f0c4966260deff839d7834f1bda9f26db15b762b47e05cd4ed52c4499500"),
+}
+
+
+@pytest.mark.parametrize("mode", TRANSFORM_MODES)
+def test_desk_parameter_table_is_pinned(mode):
+    model = Model(ModelConfig(), named_stream(7, STREAM_INIT), transform_mode=mode)
+    named = model.named_tensors()
+    table = "".join(f"{name} {t.shape} {t.requires_grad}\n" for name, t in named.items())
+    init = hashlib.sha256()
+    for t in named.values():
+        init.update(t.data.tobytes())
+    got = (hashlib.sha256(table.encode()).hexdigest(), init.hexdigest())
+    assert got == PINNED_DESK_PARAMETERS[mode], table
 
 
 @pytest.mark.xfail(strict=True, reason="the adaptive-map projections phi_T scale as "

@@ -1,15 +1,22 @@
-"""Mutation check of the autodiff adjoint rules: does the suite notice a wrong one?
+"""Mutation check of ``autodiff.py``: does the suite notice a wrong adjoint
+rule or a wrong parameter name?
 
 From the repository root::
 
     python tools/mutants.py
 
-Each mutant below is one text substitution in ``src/aotlab/autodiff.py``
-that breaks one adjoint rule: a gradient of ``add``, ``sub``, ``mul`` or
-``div`` with a flipped sign or swapped operands, ``neg``, either ``matmul``
-operand without its transpose, the ``tsum`` and ``tmean`` reductions, and
-the accumulation in ``Tape.backward``.  For each, the repository is copied
-to a temporary directory, the mutant is applied there, and the suite runs::
+Each mutant below is one text substitution in ``src/aotlab/autodiff.py``.
+Most break one adjoint rule: a gradient of ``add``, ``sub``, ``mul`` or
+``div`` with a flipped sign or swapped operands; a flipped sign or a
+dropped term in the derivative of each unary op (``neg``, ``exp``,
+``sigmoid``, ``relu``, ``rsqrt``, ``cos``, ``gelu``); either ``matmul``
+operand without its transpose; the ``tsum`` and ``tmean`` reductions; a
+flipped gradient through ``reshape``, ``transpose``, ``broadcast_to``,
+``concat`` and ``_unbroadcast``; and the accumulation in ``Tape.backward``.
+Two break ``Module.named``, the walk that names every parameter: one skips
+the nested modules, one lists the names in reverse.  For each mutant the
+repository is copied to a temporary directory, the mutant is applied
+there, and the suite runs::
 
     python -m pytest -x -q tests bench/tests --deselect tests/test_acceptance.py
 
@@ -58,6 +65,14 @@ MUTANTS = [
     ("div: grad b sign", "(g / bd, -g * ad / (bd * bd))",
      "(g / bd, g * ad / (bd * bd))"),
     ("neg: grad sign", "_unary(a, -a.data, -1)", "_unary(a, -a.data, 1)"),
+    ("exp: grad sign", "_unary(a, value, value)", "_unary(a, value, -value)"),
+    ("sigmoid: grad sign", "value * (1.0 - value)", "-value * (1.0 - value)"),
+    ("relu: grad sign", "(a.data > 0).astype(a.data.dtype)",
+     "-(a.data > 0).astype(a.data.dtype)"),
+    ("rsqrt: grad sign", "-0.5 * value / a.data", "0.5 * value / a.data"),
+    ("cos: grad sign", "np.cos(a.data), -np.sin(a.data)",
+     "np.cos(a.data), np.sin(a.data)"),
+    ("gelu: grad drops the cubic term", "(1.0 + 3 * 0.044715 * (x * x))", "1.0"),
     ("matmul: grad a untransposed", "acc(a, g @ bd.swapaxes(-1, -2))",
      "acc(a, g @ bd)"),
     ("matmul: grad b untransposed", "acc(b, ad.swapaxes(-1, -2) @ g)",
@@ -68,10 +83,26 @@ MUTANTS = [
      "if axis is not None and not keepdims:", "if axis is not None:"),
     ("tmean: count over all elements", "(1.0 / (a.size // total.size))",
      "(1.0 / a.size)"),
+    ("reshape: grad sign", "acc(a, g.reshape(in_shape))",
+     "acc(a, -g.reshape(in_shape))"),
+    ("transpose: grad sign", "acc(a, g.transpose(inverse))",
+     "acc(a, -g.transpose(inverse))"),
+    ("transpose: grad by the forward axes", "acc(a, g.transpose(inverse))",
+     "acc(a, g.transpose(axes))"),
+    ("broadcast_to: grad sign", "acc(a, g)  # accumulate() unbroadcasts",
+     "acc(a, -g)"),
+    ("concat: grad sign", "acc(t, part)", "acc(t, -part)"),
+    ("_unbroadcast: reduced grad sign",
+     "keepdims=True)\n    return g\n", "keepdims=True)\n    return -g\n"),
     ("Tape.backward: overwrite in the pass",
      "if held is None else held + g", "if held is None else g"),
     ("Tape.backward: overwrite across calls",
      "t.grad = g if t.grad is None else t.grad + g", "t.grad = g"),
+    ("Module.named: nested modules skipped",
+     "out.update(value.named(f\"{prefix}.{attr}\"))", "pass"),
+    ("Module.named: names in reverse",
+     "for attr, value in vars(self).items():",
+     "for attr, value in reversed(vars(self).items()):"),
 ]
 
 
