@@ -1,9 +1,11 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
 The design is deliberately small: a ``Tensor`` wraps a numpy array, and every
-differentiable primitive appends a node ``(output, backward_fn)`` to the
-currently active ``Tape``.  Execution order is a topological order of the
-graph, so replaying the node list in reverse propagates gradients correctly.
+differentiable primitive is a forward value plus a backward rule, handed to
+``node``.  ``node`` alone decides whether the output joins the currently
+active ``Tape`` as the node ``(output, backward_fn)``.  Execution order is a
+topological order of the graph, so replaying the node list in reverse
+propagates gradients correctly.
 
 Tensors hold real floating-point arrays only; a complex array raises
 ``ShapeError``.  Complex arithmetic, as in the Fourier mixer, is written
@@ -104,13 +106,21 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def record(out: "Tensor", backward_fn) -> None:
-    tape = active_tape()
-    if tape is not None and out.requires_grad:
-        tape._nodes.append((out, backward_fn))
+    active_tape()._nodes.append((out, backward_fn))
 
 
 def tracking(*tensors: "Tensor") -> bool:
     return active_tape() is not None and any(t.requires_grad for t in tensors)
+
+
+def node(value, backward_fn, *inputs: "Tensor") -> "Tensor":
+    """Wrap ``value``, the forward result of one primitive over ``inputs``.
+    It requires grad, and joins the open tape with ``backward_fn(g, acc)``,
+    exactly when a tape is open and some input requires grad."""
+    out = Tensor(value, requires_grad=tracking(*inputs))
+    if out.requires_grad:
+        record(out, backward_fn)  # a module global, so a tracer can replace it
+    return out
 
 
 class Tensor:
@@ -238,7 +248,6 @@ def _binary(fn, a, b, grads) -> Tensor:
         raise ShapeError(
             f"{fn.__name__}: shapes {a.shape} and {b.shape} are not broadcast-compatible"
         ) from exc
-    out = Tensor(data, requires_grad=tracking(a, b))
     ad, bd = a.data, b.data
 
     def bwd(g, acc):
@@ -246,8 +255,7 @@ def _binary(fn, a, b, grads) -> Tensor:
         acc(a, ga)
         acc(b, gb)
 
-    record(out, bwd)
-    return out
+    return node(data, bwd, a, b)
 
 
 def add(a, b) -> Tensor:
@@ -271,13 +279,7 @@ def div(a, b) -> Tensor:
 # ---------------------------------------------------------------------
 
 def _unary(a: Tensor, value: np.ndarray, deriv) -> Tensor:
-    out = Tensor(value, requires_grad=tracking(a))
-
-    def bwd(g, acc):
-        acc(a, g * deriv)
-
-    record(out, bwd)
-    return out
+    return node(value, lambda g, acc: acc(a, g * deriv), a)
 
 
 def neg(a) -> Tensor:
@@ -346,15 +348,13 @@ def matmul(a, b) -> Tensor:
                          f"got {a.shape} and {b.shape}")
     if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} vs {b.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=tracking(a, b))
     ad, bd = a.data, b.data
 
     def bwd(g, acc):
         acc(a, g @ bd.swapaxes(-1, -2))
         acc(b, ad.swapaxes(-1, -2) @ g)
 
-    record(out, bwd)
-    return out
+    return node(ad @ bd, bwd, a, b)
 
 
 # ---------------------------------------------------------------------
@@ -363,7 +363,6 @@ def matmul(a, b) -> Tensor:
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), requires_grad=tracking(a))
     in_shape = a.data.shape
 
     def bwd(g, acc):
@@ -371,8 +370,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         acc(a, np.broadcast_to(g, in_shape))
 
-    record(out, bwd)
-    return out
+    return node(a.data.sum(axis=axis, keepdims=keepdims), bwd, a)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -383,27 +381,15 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape), requires_grad=tracking(a))
     in_shape = a.data.shape
-
-    def bwd(g, acc):
-        acc(a, g.reshape(in_shape))
-
-    record(out, bwd)
-    return out
+    return node(a.data.reshape(shape), lambda g, acc: acc(a, g.reshape(in_shape)), a)
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
-    out = Tensor(a.data.transpose(axes), requires_grad=tracking(a))
     inverse = tuple(np.argsort(axes))
-
-    def bwd(g, acc):
-        acc(a, g.transpose(inverse))
-
-    record(out, bwd)
-    return out
+    return node(a.data.transpose(axes), lambda g, acc: acc(a, g.transpose(inverse)), a)
 
 
 def broadcast_to(a, shape) -> Tensor:
@@ -413,13 +399,8 @@ def broadcast_to(a, shape) -> Tensor:
         data = np.broadcast_to(a.data, shape)
     except ValueError as exc:
         raise ShapeError(f"cannot broadcast {a.shape} to {shape}") from exc
-    out = Tensor(data.copy(), requires_grad=tracking(a))
-
-    def bwd(g, acc):
-        acc(a, g)  # accumulate() unbroadcasts
-
-    record(out, bwd)
-    return out
+    # the gradient passes through whole: accumulate() unbroadcasts it
+    return node(data.copy(), lambda g, acc: acc(a, g), a)
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -431,13 +412,11 @@ def concat(tensors, axis: int) -> Tensor:
     except ValueError as exc:
         shapes = [t.shape for t in tensors]
         raise ShapeError(f"cannot concatenate shapes {shapes} along axis {axis}") from exc
-    out = Tensor(data, requires_grad=tracking(*tensors))
     bounds = np.cumsum([t.shape[axis] for t in tensors[:-1]])
 
     def bwd(g, acc):
         for t, part in zip(tensors, np.split(g, bounds, axis=axis)):
             acc(t, part)
 
-    record(out, bwd)
-    return out
+    return node(data, bwd, *tensors)
 

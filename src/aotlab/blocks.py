@@ -90,17 +90,12 @@ class GroupNorm(Module):
         y = (centered * r).reshape((b, c, h, w))
         scale, shift = self.scale, self.shift
         sc = scale.data.reshape((1, c, 1, 1))
-        out = Tensor(y * sc + shift.data.reshape((1, c, 1, 1)),
-                     requires_grad=ad.tracking(x, scale, shift))
-        if not out.requires_grad:
-            return out
-        dr = -0.5 * r / var_eps
 
         def bwd(gout, acc):
             acc(shift, ad._unbroadcast(gout, sc.shape).reshape((c,)))
             acc(scale, ad._unbroadcast(gout * y, sc.shape).reshape((c,)))
             gy = (gout * sc).reshape(centered.shape)
-            g_var = ad._unbroadcast(gy * centered, r.shape) * dr
+            g_var = ad._unbroadcast(gy * centered, r.shape) * (-0.5 * r / var_eps)
             # the tape stores this broadcast as a C-ordered copy; its layout
             # fixes the order of the summation into g_mean below
             g_sq = np.broadcast_to(g_var * inv_count, centered.shape).copy() * centered
@@ -108,8 +103,7 @@ class GroupNorm(Module):
             g_mean = ad._unbroadcast(-g_centered, r.shape) * inv_count
             acc(x, (g_centered + g_mean).reshape((b, c, h, w)))
 
-        ad.record(out, bwd)
-        return out
+        return ad.node(y * sc + shift.data.reshape((1, c, 1, 1)), bwd, x, scale, shift)
 
 
 def default_groups(channels: int) -> int:
@@ -268,9 +262,9 @@ def readout(x: Tensor, w: Tensor) -> Tensor:
 
 class AotSubLayer(Module):
     """One adaptive residual application: maps + sandwich-normalized inner
-    sub-layer.  ``strict_identity`` replaces T by the exact identity and
-    skips the Sinkhorn projection; aggregation and redistribution still run
-    (with zero gates they are exactly uniform / all-ones)."""
+    sub-layer.  ``strict_identity`` computes no maps at all: T is the exact
+    identity, aggregation is the stream mean and redistribution all-ones,
+    whatever the gates."""
 
     def __init__(self, inner: Module, n: int, channels: int, rng: np.random.Generator,
                  gate_init: float = 0.01, sinkhorn_iters: int = 20,

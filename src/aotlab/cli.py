@@ -103,6 +103,8 @@ def _checked_configs(cfg: RunConfig) -> tuple[ModelConfig, TrainConfig]:
     it writes a file."""
     for key in ("threads", "grid", "n_train", "n_test"):
         _check_at_least(key, getattr(cfg, key), 1)
+    if cfg.grid & (cfg.grid - 1):
+        raise UsageError(f"grid must be a power of two, got {cfg.grid}")
     try:
         return cfg.model_config(), cfg.train_config()
     except ValueError as exc:

@@ -10,6 +10,7 @@ learned or frozen) is chosen when the model is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -48,9 +49,11 @@ class ModelConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "int" and getattr(self, f.name) < 1:
-                raise ShapeError(f"{f.name} must be at least 1, "
-                                 f"got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if f.type == "int" and value < 1:
+                raise ShapeError(f"{f.name} must be at least 1, got {value}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}; "
                              f"options: {', '.join(ACTIVATIONS)}")
@@ -111,7 +114,9 @@ def temporal_aggregate(tokens: Tensor, t_mlp, gamma: Tensor) -> Tensor:
 
     The MLP and tokens are real, so the imaginary part of the exponential
     drops after taking the real part and the weight reduces to cos(gamma t).
-    ``t`` is the integer frame index 0..T_in-1.
+    ``t`` is the integer frame index 0..T_in-1.  gamma starts at 0, where
+    its gradient is exactly 0, so the phase is 1 and the layer is a plain
+    frame sum unless gamma is set otherwise.
     """
     b, t, c, hp, wp = tokens.shape
     y = t_mlp.forward(ad.reshape(tokens, (b * t, c, hp, wp)))

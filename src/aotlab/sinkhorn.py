@@ -88,7 +88,6 @@ def sinkhorn_tensor(raw: Tensor, iters: int = 20) -> Tensor:
     if not ad.tracking(raw):
         return Tensor(_project(e, iters))
     steps = list(_sweeps(e, iters))
-    out = Tensor(steps[-1][-1], requires_grad=True)
 
     def bwd(g, acc):
         # Each sweep is m_rows = m_in / rows, m = m_rows / cols.  Per div
@@ -102,8 +101,7 @@ def sinkhorn_tensor(raw: Tensor, iters: int = 20) -> Tensor:
             g = g / rows + g_rows
         acc(raw, g * e)
 
-    ad.record(out, bwd)
-    return out
+    return ad.node(steps[-1][-1], bwd, raw)
 
 
 def ds_residual(matrix: np.ndarray) -> float:

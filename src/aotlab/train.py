@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,6 +53,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("float") and value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.epochs < 1 or self.steps_per_epoch < 1 or self.batch < 1:
             raise ValueError("epochs, steps_per_epoch, batch must be at least 1")
         if not 0 <= self.warmup_epochs < self.epochs:

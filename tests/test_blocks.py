@@ -161,6 +161,18 @@ def test_group_norm_without_tape_records_nothing(monkeypatch):
     assert not got.requires_grad
 
 
+def test_group_norm_tracks_shift_alone():
+    """A call whose only input that requires grad is ``shift`` joins the
+    tape: d sum(out) / d shift is B * H * W for every channel."""
+    rng = np.random.default_rng(11)
+    gn = GroupNorm(8, 4, Tensor(rng.standard_normal(8)),
+                   Tensor(np.zeros(8), requires_grad=True))
+    with Tape() as tape:
+        out = gn(Tensor(rng.standard_normal((2, 8, 4, 4))))
+        tape.backward(ad.tsum(out))
+    np.testing.assert_array_equal(gn.shift.grad, np.full(8, 32.0))
+
+
 def test_group_norm_group_selection_and_errors():
     assert default_groups(64) == 8
     assert default_groups(6) == 1

@@ -400,11 +400,17 @@ TINY_GEN = ("gen-data", "--grid", 8, "--n-train", 1, "--n-test", 1)
     (("train", "warmup_epochs", "99"), TINY_GEN),
     (("data", "n_test", "0"), ("train",)),
     (None, ("train", "--mode", "frozen")),
+    (None, TINY_GEN + ("--grid", 24)),
+    (("train", "peak_lr", "nan"), ("train",)),
+    (("train", "noise", "inf"), ("train",)),
+    (("train", "weight_decay", "nan"), ("train",)),
+    (("model", "gate_init", "nan"), ("train",)),
 ], ids=["checkpoint-every", "horizon", "n-probe", "threads-zero",
         "threads-negative", "run-section-threads", "grid", "patch-zero",
         "heads-zero", "groups-word", "clip-norm-word", "epochs-zero",
         "epochs-flag-zero", "warmup-past-epochs", "n-test-zero",
-        "frozen-without-source"])
+        "frozen-without-source", "grid-not-power-of-two", "peak-lr-nan",
+        "noise-inf", "weight-decay-nan", "gate-init-nan"])
 def test_bad_numeric_flag_is_usage_error(tiny_ini, trained, tmp_path, capsys,
                                          monkeypatch, setting, argv):
     monkeypatch.chdir(tmp_path)  # a command that wrongly runs writes here

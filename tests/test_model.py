@@ -56,6 +56,9 @@ def test_config_rejects_bad_geometry():
             ModelConfig(groups=groups)
     with pytest.raises(ValueError, match="activation"):
         ModelConfig(activation="tanh")
+    for gate_init in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="gate_init must be finite"):
+            ModelConfig(gate_init=gate_init)
 
 
 def test_default_config_is_desk_scale():
@@ -486,6 +489,51 @@ def test_desk_parameters_carry_gradient():
     dead = [name for name, t in model.trainable_tensors().items()
             if np.abs(t.grad).max() < 1e-8]
     assert sorted(dead) == sorted(DEAD_AT_DESK_INIT)
+
+
+# absolute error of a central difference at h = 1e-6 on these O(100) losses
+FD_FLOOR = 1e-7
+
+
+def test_whole_model_gradient_bites_on_every_live_tensor():
+    """Finite differences of the whole model in f64, at a point where every
+    tensor that can learn carries a gradient far above the difference's
+    noise floor: four sub-layers, GroupNorm with 2 groups of 4 channels,
+    learned transforms, gates at 0.5, gamma and the readout logits off 0,
+    and mixer weights and biases lifted.  Each sampled |fd| must first reach
+    100 times the floor, so that only the relative check can pass it.  The
+    exceptions are the structural entries of DEAD_AT_DESK_INIT, whose
+    gradient is zero here too: the first mix sub-layer's a and T maps, and
+    b2_im.  gamma is perturbed off 0 and is live."""
+    cfg = ModelConfig(height=8, width=8, channels=2, t_in=2, patch=2, d_z=8, heads=2,
+                      modes=2, blocks=2, streams=3, groups=2, gate_init=0.5)
+    model = Model(cfg, np.random.default_rng(40), transform_mode="learned")
+    rng = np.random.default_rng(41)
+    for name, t in model.named_tensors().items():
+        if ".mix.inner." in name:
+            t.data = 0.5 * rng.standard_normal(t.shape)
+    model.gamma.data = 0.5 * rng.standard_normal(cfg.d_z)
+    model.w_readout.data = rng.standard_normal(cfg.streams)
+    u = window(rng, cfg, b=2)
+    w = rng.standard_normal((2, cfg.height, cfg.width, cfg.channels))
+
+    def loss_fn():
+        return float(ad.tsum(model.forward(Tensor(u)) * Tensor(w)).item())
+
+    with Tape() as tape:
+        tape.backward(ad.tsum(model.forward(Tensor(u)) * Tensor(w)))
+
+    names = model.trainable_tensors()
+    assert len(names) == 95
+    for i, (name, t) in enumerate(names.items()):
+        idx, num = fd_entries(loss_fn, t, k=3, seed=i)
+        got = t.grad.reshape(-1)[idx]
+        err = np.abs(got - num)
+        if name in DEAD_AT_DESK_INIT and name != "gamma":
+            assert (err < FD_FLOOR).all(), f"{name}: fd {num}, got {got}"
+            continue
+        assert np.abs(num).min() >= 100 * FD_FLOOR, f"{name}: fd {num} near the floor"
+        assert (err <= 1e-4 * np.abs(num)).all(), f"{name}: fd {num}, got {got}"
 
 
 def test_desk_training_step_tape_budget():

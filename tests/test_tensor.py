@@ -358,6 +358,25 @@ def test_requires_grad_propagates():
         assert (b * 3.0).requires_grad is False
 
 
+@pytest.mark.parametrize("op", ["add", "matmul", "concat"])
+def test_output_tracks_when_only_the_last_input_requires_grad(op):
+    """An output joins the tape when any input requires grad, not only
+    the first one."""
+    rng = np.random.default_rng(70)
+    const = rng.standard_normal((3, 3))
+    w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    fn, want = {
+        "add": (ad.add, np.ones((3, 3))),
+        "matmul": (ad.matmul, const.T @ np.ones((3, 3))),
+        "concat": (lambda a, b: ad.concat([a, b], axis=0), np.ones((3, 3))),
+    }[op]
+    with Tape() as tape:
+        out = fn(Tensor(const), w)
+        assert out.requires_grad
+        tape.backward(ad.tsum(out))
+    np.testing.assert_array_equal(w.grad, want)
+
+
 def test_grad_none_for_untracked_leaf():
     a = Tensor(np.ones(2), requires_grad=True)
     b = Tensor(np.ones(2))

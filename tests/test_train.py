@@ -362,6 +362,11 @@ def test_train_config_validation():
     for clip_norm in (0.0, -1.0):
         with pytest.raises(ValueError):
             TrainConfig(clip_norm=clip_norm)
+    for key in ("peak_lr", "weight_decay", "eps", "noise", "clip_norm"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                TrainConfig(**{key: value})
+    assert TrainConfig(clip_norm=None).clip_norm is None
 
 
 def test_train_loss_decreases(heat_corpus):

@@ -1,22 +1,31 @@
-"""Mutation check of ``autodiff.py``: does the suite notice a wrong adjoint
-rule or a wrong parameter name?
+"""Mutation check of the tape: does the suite notice a wrong adjoint rule,
+a node recorded when it should not be (or not when it should), or a wrong
+parameter name?
 
 From the repository root::
 
     python tools/mutants.py
 
-Each mutant below is one text substitution in ``src/aotlab/autodiff.py``.
-Most break one adjoint rule: a gradient of ``add``, ``sub``, ``mul`` or
-``div`` with a flipped sign or swapped operands; a flipped sign or a
-dropped term in the derivative of each unary op (``neg``, ``exp``,
-``sigmoid``, ``relu``, ``rsqrt``, ``cos``, ``gelu``); either ``matmul``
-operand without its transpose; the ``tsum`` and ``tmean`` reductions; a
-flipped gradient through ``reshape``, ``transpose``, ``broadcast_to``,
-``concat`` and ``_unbroadcast``; and the accumulation in ``Tape.backward``.
-Two break ``Module.named``, the walk that names every parameter: one skips
-the nested modules, one lists the names in reverse.  For each mutant the
-repository is copied to a temporary directory, the mutant is applied
-there, and the suite runs::
+Each mutant below is one text substitution in one file of ``src/aotlab``.
+In ``autodiff.py`` most break one adjoint rule: a gradient of ``add``,
+``sub``, ``mul`` or ``div`` with a flipped sign or swapped operands; a
+flipped sign or a dropped term in the derivative of each unary op
+(``neg``, ``exp``, ``sigmoid``, ``relu``, ``rsqrt``, ``cos``, ``gelu``);
+either ``matmul`` operand without its transpose; the ``tsum`` and
+``tmean`` reductions; a flipped gradient through ``reshape``,
+``transpose``, ``broadcast_to``, ``concat`` and ``_unbroadcast``; and the
+accumulation in ``Tape.backward``.  Some break ``node``, which decides
+whether an output joins the tape: it records outputs whose inputs need no
+grad, or a call site leaves out one of its inputs.  Two break
+``Module.named``, the walk that names every parameter: one skips the
+nested modules, one lists the names in reverse.  The mutants of
+``sinkhorn.py`` and ``blocks.py`` break the backward of the two fused
+nodes: a Sinkhorn sweep's column term with a flipped sign, one sweep too
+few replayed, the sweep input and the row-normalized matrix swapped; a
+GroupNorm backward that drops one of the two variance terms, sums its
+broadcast without the C-ordered copy, or flips the sign of the mean term.
+For each mutant the repository is copied to a temporary directory, the
+mutant is applied there, and the suite runs::
 
     python -m pytest -x -q tests bench/tests --deselect tests/test_acceptance.py
 
@@ -37,14 +46,16 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TARGET = os.path.join("src", "aotlab", "autodiff.py")
+AUTODIFF = os.path.join("src", "aotlab", "autodiff.py")
+SINKHORN = os.path.join("src", "aotlab", "sinkhorn.py")
+BLOCKS = os.path.join("src", "aotlab", "blocks.py")
 COMMAND = [sys.executable, "-m", "pytest", "-x", "-q", "tests", "bench/tests",
            "--deselect", "tests/test_acceptance.py"]
 IGNORE = shutil.ignore_patterns(".git", "bench_runs", "__pycache__",
                                 ".pytest_cache", ".hypothesis")
 
-# (name, text in autodiff.py, replacement); each text occurs exactly once
-MUTANTS = [
+# file -> [(name, text in that file, replacement)]; each text occurs once
+MUTANTS = {AUTODIFF: [
     ("add: grad a sign", "np.add, a, b, lambda g, ad, bd: (g, g)",
      "np.add, a, b, lambda g, ad, bd: (-g, g)"),
     ("add: grad b sign", "np.add, a, b, lambda g, ad, bd: (g, g)",
@@ -89,8 +100,8 @@ MUTANTS = [
      "acc(a, -g.transpose(inverse))"),
     ("transpose: grad by the forward axes", "acc(a, g.transpose(inverse))",
      "acc(a, g.transpose(axes))"),
-    ("broadcast_to: grad sign", "acc(a, g)  # accumulate() unbroadcasts",
-     "acc(a, -g)"),
+    ("broadcast_to: grad sign", "lambda g, acc: acc(a, g), a)",
+     "lambda g, acc: acc(a, -g), a)"),
     ("concat: grad sign", "acc(t, part)", "acc(t, -part)"),
     ("_unbroadcast: reduced grad sign",
      "keepdims=True)\n    return g\n", "keepdims=True)\n    return -g\n"),
@@ -103,7 +114,32 @@ MUTANTS = [
     ("Module.named: names in reverse",
      "for attr, value in vars(self).items():",
      "for attr, value in reversed(vars(self).items()):"),
-]
+    ("node: records outputs whose inputs need no grad",
+     "requires_grad=tracking(*inputs))", "requires_grad=active_tape() is not None)"),
+    ("node: records every output, tape or not",
+     "    if out.requires_grad:\n        record(", "    if True:\n        record("),
+    ("_binary: drops input b", "return node(data, bwd, a, b)",
+     "return node(data, bwd, a)"),
+    ("matmul: drops input b", "return node(ad @ bd, bwd, a, b)",
+     "return node(ad @ bd, bwd, a)"),
+    ("concat: keeps only the first input", "return node(data, bwd, *tensors)",
+     "return node(data, bwd, tensors[0])"),
+], SINKHORN: [
+    ("sinkhorn: column term sign", "g = g / cols + g_cols", "g = g / cols - g_cols"),
+    ("sinkhorn: one sweep too few replayed",
+     "zip(reversed(ins), reversed(steps))",
+     "zip(reversed(ins[1:]), reversed(steps[1:]))"),
+    ("sinkhorn: m_in and m_rows swapped",
+     "for m_in, (rows, m_rows, cols, _) in", "for m_rows, (rows, m_in, cols, _) in"),
+], BLOCKS: [
+    ("GroupNorm: drops one g_sq term", "g_centered = gy * r + g_sq + g_sq",
+     "g_centered = gy * r + g_sq"),
+    ("GroupNorm: no C-order copy", "centered.shape).copy() * centered",
+     "centered.shape) * centered"),
+    ("GroupNorm: g_mean sign", "g_mean = ad._unbroadcast(-g_centered",
+     "g_mean = ad._unbroadcast(g_centered"),
+    ("GroupNorm: drops input shift", "bwd, x, scale, shift)", "bwd, x, scale)"),
+]}
 
 
 def run_suite(tree: str) -> bool:
@@ -120,13 +156,13 @@ def check(mutant: tuple | None) -> bool:
         tree = os.path.join(tmp, "repo")
         shutil.copytree(ROOT, tree, ignore=IGNORE)
         if mutant is not None:
-            name, old, new = mutant
-            path = os.path.join(tree, TARGET)
+            target, name, old, new = mutant
+            path = os.path.join(tree, target)
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
             if text.count(old) != 1:
                 raise SystemExit(f"mutant {name!r}: its text occurs "
-                                 f"{text.count(old)} times in {TARGET}")
+                                 f"{text.count(old)} times in {target}")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text.replace(old, new))
         return run_suite(tree)
@@ -138,15 +174,16 @@ def main() -> int:
         print("the unmutated suite fails; no mutant can be judged")
         return 2
     print(f"unmutated suite passes ({time.perf_counter() - t0:.0f} s)")
+    mutants = [(target, *m) for target, ms in MUTANTS.items() for m in ms]
     survivors = []
-    for mutant in MUTANTS:
+    for mutant in mutants:
         t0 = time.perf_counter()
         passed = check(mutant)
-        print(f"{'SURVIVED' if passed else 'killed':8s}  {mutant[0]}  "
+        print(f"{'SURVIVED' if passed else 'killed':8s}  {mutant[1]}  "
               f"({time.perf_counter() - t0:.0f} s)", flush=True)
         if passed:
-            survivors.append(mutant[0])
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+            survivors.append(mutant[1])
+    print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants killed")
     for name in survivors:
         print(f"survivor: {name}")
     return 1 if survivors else 0
