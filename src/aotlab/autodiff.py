@@ -196,20 +196,29 @@ class Module:
     """Base of every layer that holds tensors; names them by attribute.
 
     ``named(prefix)`` walks the instance attributes in the order they were
-    first assigned: a ``Tensor`` is named ``prefix.attr``, a ``Module``
-    contributes its own names under ``prefix.attr``, and every other
-    attribute is skipped.  Assignment order is name order, and name order
-    is the checkpoint's block order, the optimizer state's and the order
-    of the clip-norm sum.
+    first assigned: a ``Tensor`` is named ``prefix.attr`` (``attr`` when
+    the prefix is empty), a ``Module`` contributes its own names under
+    that name, item ``i`` of a list of modules under ``name.i``, and every
+    other attribute is skipped.  Assignment order is name order, and name
+    order is the checkpoint's block order, the optimizer state's and the
+    order of the clip-norm sum.  ``Module(**children)`` is a plain
+    container holding ``children`` as attributes, in keyword order.
     """
 
-    def named(self, prefix: str) -> dict:
+    def __init__(self, **children):
+        vars(self).update(children)
+
+    def named(self, prefix: str = "") -> dict:
         out = {}
         for attr, value in vars(self).items():
+            name = f"{prefix}.{attr}" if prefix else attr
             if isinstance(value, Tensor):
-                out[f"{prefix}.{attr}"] = value
+                out[name] = value
             elif isinstance(value, Module):
-                out.update(value.named(f"{prefix}.{attr}"))
+                out.update(value.named(name))
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    out.update(item.named(f"{name}.{i}"))
         return out
 
 

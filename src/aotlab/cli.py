@@ -5,6 +5,9 @@ Global flags: --config PATH, --seed N, --out DIR, --threads N (used by
 gen-data only).  Exit codes: 0 success, 1 usage error, 2 runtime error, 3
 numeric blow-up.
 
+A flag that sets a RunConfig key is named after it (``--steps-per-epoch``
+sets ``[train] steps_per_epoch``), and its text is parsed as file text is.
+
 Every command resolves a RunConfig (defaults < config file < flags), checks
 every value in it (a bad one is a usage error, and nothing is written),
 echoes it to ``<out>/config.ini``, writes its report files into the output
@@ -21,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, resolve_config, write_config
+from .config import SECTION_OF, RunConfig, resolve_config, write_config
 from .container import write_lines
 from .data import (
     SamplingPlan,
@@ -65,9 +68,7 @@ _RUN_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
 # ---------------------------------------------------------------------
 
 def _flag_overrides(args: argparse.Namespace) -> dict:
-    return {key: getattr(args, key)
-            for key in _RUN_KEYS
-            if getattr(args, key, None) is not None}
+    return {key: getattr(args, key, None) for key in _RUN_KEYS}
 
 
 def _prepare_out(cfg: RunConfig) -> None:
@@ -164,6 +165,13 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> None:
                    test_ds=test_ds, out_dir=cfg.out,
                    checkpoint_every=args.checkpoint_every,
                    resume_from=args.resume)
+    checkpoint = os.path.join(cfg.out, "checkpoint.aotc")
+    if not result.metrics:  # the resumed run had already finished
+        total = args.train_cfg.epochs * args.train_cfg.steps_per_epoch
+        _summary(cfg, [f"no step left to run: {args.resume} is at step "
+                       f"{result.step} of {total}",
+                       f"checkpoint (rewritten): {checkpoint}"])
+        return
     last = result.metrics[-1]
     lines = [f"trained {last['step']} steps in mode {args.mode} "
              f"({args.dtype}); final train loss {last['train_loss']:.6g}"]
@@ -171,7 +179,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> None:
         key = f"{fam}_l2re"
         if key in last:
             lines.append(f"  {fam} L2RE: {last[key]:.6g}")
-    lines.append(f"checkpoint: {os.path.join(cfg.out, 'checkpoint.aotc')}")
+    lines.append(f"checkpoint: {checkpoint}")
     _summary(cfg, lines)
 
 
@@ -204,8 +212,7 @@ def cmd_rollout(cfg: RunConfig, args: argparse.Namespace) -> None:
                          f"need more than t_in = {t_in}")
     horizon = args.horizon if args.horizon else len(traj) - t_in
     model = _loaded_model(cfg, args)
-    window = traj[:t_in].astype(model.dtype)
-    res = rollout(model_predictor(model), window, horizon)
+    res = rollout(model_predictor(model), traj[:t_in], horizon)
     nc = ds.native_by_family[args.family]
     steps = len(res.frames)
     scored = min(steps, len(traj) - t_in)
@@ -243,7 +250,7 @@ def cmd_gain(cfg: RunConfig, args: argparse.Namespace) -> None:
         origin = f"fresh initialization (seed {cfg.seed})"
     n = min(args.n_probe, len(ds))
     windows = np.stack([ds.trajectories[i][:cfg.t_in] for i in range(n)])
-    report = gain_analysis(model, windows.astype(model.dtype))
+    report = gain_analysis(model, windows)
     path = os.path.join(cfg.out, "gains.csv")
     write_gain_csv(report, path)
     lines = [f"gains from {origin} over {n} probe windows",
@@ -316,21 +323,24 @@ def cmd_transform_exp(cfg: RunConfig, args: argparse.Namespace) -> None:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------
 
-def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--manifest", help="train-split manifest path")
-    p.add_argument("--test-manifest", dest="test_manifest",
-                   help="test-split manifest path")
+def _add_settings(p: argparse.ArgumentParser, *keys: str) -> None:
+    """One flag per RunConfig key, named from it: ``--steps-per-epoch``
+    sets ``steps_per_epoch``.  A flag keeps its text, which
+    ``resolve_config`` parses as it parses the same key's file text, so a
+    bad value is a usage error."""
+    for key in keys:
+        p.add_argument("--" + key.replace("_", "-"), dest=key,
+                       help=f"sets [{SECTION_OF[key]}] {key}")
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
+def _add_model_flags(p: argparse.ArgumentParser, checkpoint: bool = False) -> None:
+    _add_settings(p, "manifest", "test_manifest")
     p.add_argument("--dtype", choices=sorted(_DTYPES), default="f32",
                    help="model arithmetic precision")
     p.add_argument("--mode", choices=TRANSFORM_MODES, default="vanilla",
                    help="pointwise transform mode")
-
-
-def _add_checkpoint_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--checkpoint", help="model checkpoint to load")
+    if checkpoint:
+        p.add_argument("--checkpoint", help="model checkpoint to load")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,27 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sinkhorn-mixed Fourier operator lab: data, training, "
                     "and diagnostics.")
     parser.add_argument("--config", help="config file ([section] key = value)")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--threads", type=int,
-                        help="worker thread count (gen-data only)")
+    _add_settings(parser, "seed", "out", "threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate the trajectory corpus")
-    p.add_argument("--root", help="dataset root directory")
-    p.add_argument("--families", help="comma-separated family names")
-    p.add_argument("--n-train", dest="n_train", type=int)
-    p.add_argument("--n-test", dest="n_test", type=int)
-    p.add_argument("--grid", type=int, help="spatial resolution")
+    _add_settings(p, "root", "families", "n_train", "n_test", "grid")
 
     p = sub.add_parser("train", help="train a model on a manifest")
-    _add_dataset_flags(p)
     _add_model_flags(p)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--steps-per-epoch", dest="steps_per_epoch", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--peak-lr", dest="peak_lr", type=float)
-    p.add_argument("--noise", type=float)
+    _add_settings(p, "epochs", "steps_per_epoch", "batch", "peak_lr", "noise")
     p.add_argument("--transform-from", dest="transform_from",
                    help="checkpoint supplying frozen transform tensors")
     p.add_argument("--resume", help="checkpoint to resume from")
@@ -367,14 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
                    type=int, default=10, help="epochs between checkpoints")
 
     p = sub.add_parser("eval", help="per-family L2RE of a checkpoint")
-    _add_dataset_flags(p)
-    _add_model_flags(p)
-    _add_checkpoint_flag(p)
+    _add_model_flags(p, checkpoint=True)
 
     p = sub.add_parser("rollout", help="autoregressive rollout vs reference")
-    _add_dataset_flags(p)
-    _add_model_flags(p)
-    _add_checkpoint_flag(p)
+    _add_model_flags(p, checkpoint=True)
     p.add_argument("--family", required=True)
     p.add_argument("--index", type=int, default=0,
                    help="trajectory index within the family")
@@ -382,28 +376,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="steps to roll (default: rest of the trajectory)")
 
     p = sub.add_parser("gain", help="forward/backward propagation gains")
-    _add_dataset_flags(p)
-    _add_model_flags(p)
-    _add_checkpoint_flag(p)
+    _add_model_flags(p, checkpoint=True)
     p.add_argument("--n-probe", dest="n_probe", type=int, default=8,
                    help="number of probe windows")
 
     p = sub.add_parser("probe", help="nearest-centroid family probe")
-    _add_dataset_flags(p)
-    _add_model_flags(p)
-    _add_checkpoint_flag(p)
+    _add_model_flags(p, checkpoint=True)
 
     p = sub.add_parser("transform-exp",
-                       help="vanilla/learned/frozen comparison and "
-                            "cross-family transfer")
-    _add_dataset_flags(p)
+                       help="vanilla/learned/frozen comparison on the first "
+                            "of --families, and cross-family transfer")
+    _add_settings(p, "manifest", "test_manifest")
     p.add_argument("--dtype", choices=sorted(_DTYPES), default="f32")
-    p.add_argument("--families", help="comma-separated families; first is "
-                                      "the comparison family")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--steps-per-epoch", dest="steps_per_epoch", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--peak-lr", dest="peak_lr", type=float)
+    _add_settings(p, "families", "epochs", "steps_per_epoch", "batch", "peak_lr")
 
     return parser
 

@@ -6,8 +6,9 @@ in four ``[section]``s: ``[model]`` holds the fields of ``ModelConfig`` and
 type and default declared there; ``[data]`` (dataset layout) and ``[run]``
 (output directory, ``seed``, thread count) are declared here.  Values
 resolve in fixed priority order: built-in defaults, then the config file,
-then command-line flags.  Resolving checks only that every key is known and
-every value parses as its field's type; ``model_config()`` and
+then command-line flags.  A flag hands over its text as the file does, and
+``_coerce`` alone parses both.  Resolving checks only that every key is
+known and every value parses as its field's type; ``model_config()`` and
 ``train_config()`` check the values themselves.  The fully resolved
 configuration is echoed to the output directory in the same format it is
 read from, so an echo can be fed back as a config file to reproduce the run.
@@ -29,6 +30,7 @@ from .model import ModelConfig
 from .train import TrainConfig
 
 __all__ = [
+    "SECTION_OF",
     "RunConfig",
     "load_config_file",
     "resolve_config",
@@ -55,6 +57,7 @@ _FIELDS: dict[str, list[tuple]] = {
 }
 _SECTIONS = {sec: tuple(spec[0] for spec in specs)
              for sec, specs in _FIELDS.items()}
+SECTION_OF = {key: sec for sec, keys in _SECTIONS.items() for key in keys}
 _PARSERS = {"int": int, "float": float, "str": str}
 
 
@@ -95,7 +98,8 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
 def _coerce(key: str, value):
-    """Parse a raw override into the field's declared type."""
+    """Parse a raw override, file or flag text, into the field's declared
+    type."""
     if key not in _FIELD_TYPES:
         raise UsageError(f"unknown config key {key!r}")
     text = str(value).strip()

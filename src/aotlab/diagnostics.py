@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
 from .container import write_lines
 from .data import TrajectoryDataset
 from .errors import NumericOverflowError, ShapeError
@@ -54,8 +53,7 @@ class RolloutResult:
 def model_predictor(model):
     """Adapt a model to the (T_in, H, W, C) -> (H, W, C) rollout contract."""
     def predict(window: np.ndarray) -> np.ndarray:
-        out = model.forward(Tensor(window.astype(model.dtype)[None]))
-        return out.data[0]
+        return model.forward(window[None]).data[0]
     return predict
 
 
@@ -137,8 +135,7 @@ def gain_analysis(model, probe_inputs: np.ndarray) -> GainReport:
     if probe_inputs.shape[0] < 1:
         raise ValueError("need at least one probe input")
     collected: list = []
-    model.forward(Tensor(probe_inputs.astype(model.dtype)),
-                  collect_maps=collected)
+    model.forward(probe_inputs, collect_maps=collected)
     return gains_from_matrices([m.t.data for m in collected])
 
 
@@ -180,7 +177,7 @@ def extract_probe_features(model, ds: TrajectoryDataset):
     t_in = model.cfg.t_in
     windows = np.stack([t[len(t) - t_in:] for t in ds.trajectories])
     collected: list = []
-    model.forward(Tensor(windows.astype(model.dtype)), collect_maps=collected)
+    model.forward(windows, collect_maps=collected)
     features = np.concatenate(
         [m.t.data.reshape(len(ds), -1) for m in collected], axis=1)
     return features.astype(np.float64), list(ds.labels)

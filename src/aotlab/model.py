@@ -133,7 +133,7 @@ class _IdentityModule:
         return x
 
 
-class Model:
+class Model(Module):
     """The assembled operator network.
 
     ``transform`` is the pointwise channel pair used by the basis-change
@@ -147,21 +147,23 @@ class Model:
         c, dz, p = cfg.channels, cfg.d_z, cfg.patch
 
         # built in float64 and cast once at the end, which gives the same
-        # bits as casting each tensor as it is drawn
+        # bits as casting each tensor as it is drawn.  Assignment order is
+        # name order; the layers draw from rng in it, each inner layer
+        # before the maps that wrap it
         self.w_p = Tensor(np.zeros((c, 3)), requires_grad=True)
+        self.gamma = Tensor(np.zeros(dz), requires_grad=True)
+        self.readout = Module(w=Tensor(np.zeros(cfg.streams), requires_grad=True))
         self.patch = Linear(p * p * c, dz, rng)
         self.t_mlp = ChannelMLP(dz, rng)
-        self.gamma = Tensor(np.zeros(dz), requires_grad=True)
 
-        # each inner layer draws from rng before the maps that wrap it
-        inners = (lambda: MixerSubLayer(dz, cfg.heads, cfg.modes, rng, cfg.activation),
-                  lambda: ChannelMLP(dz, rng))
-        self.block_sublayers = [
-            AotSubLayer(inner(), cfg.streams, dz, rng, cfg.gate_init,
-                        cfg.sinkhorn_iters, cfg.norm_groups())
-            for _ in range(cfg.blocks) for inner in inners]
+        def wrap(inner: Module) -> AotSubLayer:
+            return AotSubLayer(inner, cfg.streams, dz, rng, cfg.gate_init,
+                               cfg.sinkhorn_iters, cfg.norm_groups())
 
-        self.w_readout = Tensor(np.zeros(cfg.streams), requires_grad=True)
+        self.blocks = [
+            Module(mix=wrap(MixerSubLayer(dz, cfg.heads, cfg.modes, rng, cfg.activation)),
+                   mlp=wrap(ChannelMLP(dz, rng)))
+            for _ in range(cfg.blocks)]
         self.head = Linear(dz, p * p * c, rng)
         self.transform = LinearTransformPair(c, transform_mode)
         self._coord_cache: np.ndarray | None = None
@@ -169,36 +171,26 @@ class Model:
 
     # -- plumbing ------------------------------------------------------
     def named_tensors(self) -> dict:
-        out = {"w_p": self.w_p, "gamma": self.gamma, "readout.w": self.w_readout}
-        out.update(self.patch.named("patch"))
-        out.update(self.t_mlp.named("t_mlp"))
-        for i, sub in enumerate(self.block_sublayers):
-            kind = "mix" if i % 2 == 0 else "mlp"
-            out.update(sub.named(f"blocks.{i // 2}.{kind}"))
-        out.update(self.head.named("head"))
-        out.update(self.transform.named("transform"))
-        return out
+        return self.named()
 
     def trainable_tensors(self) -> dict:
-        return {k: t for k, t in self.named_tensors().items() if t.requires_grad}
+        return {k: t for k, t in self.named().items() if t.requires_grad}
 
     def astype(self, dtype) -> "Model":
         """Cast every parameter in place; forward passes follow the new dtype."""
         self.dtype = dtype
-        for t in self.named_tensors().values():
+        for t in self.named().values():
             t.data = t.data.astype(dtype)
         self._coord_cache = None
         return self
 
     def param_count(self) -> int:
-        return sum(t.size for t in self.named_tensors().values())
+        return sum(t.size for t in self.named().values())
 
     def aot_param_count(self) -> int:
         """Parameters of the adaptive maps plus the readout logits."""
-        total = self.w_readout.size
-        for sub in self.block_sublayers:
-            total += sum(t.size for t in sub.maps.named("maps").values())
-        return total
+        return sum(t.size for name, t in self.named().items()
+                   if name == "readout.w" or ".maps." in name)
 
     def _coords(self) -> np.ndarray:
         """(T_in * H * W, 3) normalized (x, y) and frame index of every node."""
@@ -247,10 +239,13 @@ class Model:
         x = ad.transpose(x, (0, 1, 3, 2, 4, 5))
         return ad.reshape(x, (b, cfg.height, cfg.width, cfg.channels))
 
-    def _encode(self, u: Tensor) -> Tensor:
+    def _encode(self, u) -> Tensor:
         """Checked (B, T_in, H, W, C) window through the input transform,
-        patch embedding and temporal aggregation."""
-        u = ad.as_tensor(u)
+        patch embedding and temporal aggregation.  A window of another
+        dtype is cast to the model's; a Tensor already at it is used as
+        is, so a taped input keeps its graph."""
+        if not (isinstance(u, Tensor) and u.dtype == self.dtype):
+            u = Tensor(u.data if isinstance(u, Tensor) else u, dtype=self.dtype)
         self._check_window(u)
         if self.transform.active:
             u = apply_linear_transform(u, self.transform.w_in, self.transform.b_in)
@@ -262,27 +257,29 @@ class Model:
             out = apply_linear_transform(out, self.transform.w_out, self.transform.b_out)
         return out
 
-    def forward(self, u: Tensor, strict_identity: bool = False,
+    def forward(self, u, strict_identity: bool = False,
                 collect_maps: list | None = None) -> Tensor:
-        """Predict the next frame from a (B, T_in, H, W, C) window."""
+        """Predict the next frame from a (B, T_in, H, W, C) window, an
+        array or a Tensor, at the model's precision."""
         z = self._encode(u)
         self._check_finite(z, "embed/temporal")
         state = lift(z, self.cfg.streams)
-        for i, sub in enumerate(self.block_sublayers):
-            state, maps = sub.forward(state, strict_identity=strict_identity)
-            if collect_maps is not None:
-                collect_maps.append(maps)
-            self._check_finite(state, f"block {i // 2} sublayer {i % 2}")
-        out = self._decode(readout(state, self.w_readout))
+        for i, block in enumerate(self.blocks):
+            for j, sub in enumerate((block.mix, block.mlp)):
+                state, maps = sub.forward(state, strict_identity=strict_identity)
+                if collect_maps is not None:
+                    collect_maps.append(maps)
+                self._check_finite(state, f"block {i} sublayer {j}")
+        out = self._decode(readout(state, self.readout.w))
         self._check_finite(out, "head")
         return out
 
-    def reference_forward(self, u: Tensor) -> Tensor:
+    def reference_forward(self, u) -> Tensor:
         """Single-stream residual network sharing this model's weights;
         comparison target for the strict-identity mode."""
         z = self._encode(u)
-        for sub in self.block_sublayers:
-            z = sub.reference_forward(z)
+        for block in self.blocks:
+            z = block.mlp.reference_forward(block.mix.reference_forward(z))
         return self._decode(z)
 
     @staticmethod

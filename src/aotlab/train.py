@@ -29,8 +29,6 @@ STREAM_DATA = 0
 STREAM_INIT = 1
 STREAM_NOISE = 2
 
-TRANSFORM_PREFIX = "transform."
-
 
 def named_stream(seed: int, stream: int) -> np.random.Generator:
     """Independent generator for one named role under a shared seed."""
@@ -69,6 +67,11 @@ class TrainConfig:
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError(f"beta1 and beta2 must lie in [0, 1), "
                              f"got {self.beta1} and {self.beta2}")
+        if self.eps <= 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be nonnegative, "
+                             f"got {self.weight_decay}")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
         if self.seed < 0:
@@ -209,7 +212,7 @@ def save_training_checkpoint(path: str, model, opt: AdamW, step: int,
     """Write a resumable checkpoint; returns the encoded chunks."""
     return save_checkpoint(
         path, config_hash(model.cfg), step,
-        {k: t.data for k, t in model.named_tensors().items()},
+        {k: t.data for k, t in model.named().items()},
         opt.state_blocks(),
         {"data": data_rng.bit_generator.state,
          "noise": noise_rng.bit_generator.state})
@@ -239,7 +242,7 @@ def _assign_model_tensors(model, ckpt) -> None:
     if ckpt.config_hash != config_hash(model.cfg):
         raise FormatError("checkpoint config hash does not match the model; "
                           "was it written for a different configuration?")
-    named = model.named_tensors()
+    named = model.named()
     missing = set(named) - set(ckpt.tensors)
     extra = set(ckpt.tensors) - set(named)
     if missing or extra:
@@ -274,10 +277,8 @@ def restore_training_checkpoint(path: str, model, opt: AdamW,
 
 def load_transform(model, path: str) -> None:
     """Copy the pointwise transform tensors out of a full-model checkpoint."""
-    ckpt = load_checkpoint(path)
-    named = model.named_tensors()
-    pair = {k: named[k] for k in sorted(named) if k.startswith(TRANSFORM_PREFIX)}
-    _copy_tensors(pair, ckpt.tensors, "transform tensor")
+    _copy_tensors(model.transform.named("transform"), load_checkpoint(path).tensors,
+                  "transform tensor")
 
 
 # ---------------------------------------------------------------------
@@ -306,7 +307,7 @@ def validate(model, ds: TrajectoryDataset) -> dict:
                             for s in starts for i in idxs])
         truths = np.stack([ds.trajectories[i][s + t_in]
                            for s in starts for i in idxs])
-        pred = model.forward(Tensor(windows.astype(model.dtype))).data
+        pred = model.forward(windows).data
         out[fam] = l2re(pred[..., :nc], truths[..., :nc].astype(pred.dtype))
     return out
 
@@ -337,9 +338,10 @@ def train(model, train_ds: TrajectoryDataset, plan: SamplingPlan,
           resume_from: str | None = None) -> TrainResult:
     """Run the denoising loop; optionally resume, validate, and checkpoint.
 
-    On numeric blow-up the most recent epoch-boundary checkpoint is written
-    to out_dir/last_good.aotc and the finished epochs' rows to
-    out_dir/metrics.csv (when out_dir is given) before the error
+    On numeric blow-up, when out_dir is given, out_dir/last_good.aotc holds
+    the most recent epoch-boundary state (or, when the blow-up comes before
+    the first epoch ends, the state after the last good step) and
+    out_dir/metrics.csv the finished epochs' rows before the error
     propagates.
     """
     params = model.trainable_tensors()
@@ -385,7 +387,7 @@ def train(model, train_ds: TrajectoryDataset, plan: SamplingPlan,
             windows = inject_noise(windows.astype(model.dtype), cfg.noise,
                                    noise_rng)
             with Tape() as tape:
-                pred = model.forward(Tensor(windows))
+                pred = model.forward(windows)
                 loss = denoising_loss(pred, Tensor(targets.astype(model.dtype)))
             for p in params.values():
                 p.grad = None

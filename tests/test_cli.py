@@ -306,6 +306,20 @@ def test_resume_with_incomplete_rng_state_exits_two(tiny_ini, trained, tmp_path,
     assert f"rng state lacks {missing!r}" in capsys.readouterr().err
 
 
+def test_resume_from_finished_run_reports_no_step_left(tiny_ini, trained, tmp_path,
+                                                       capsys):
+    done = trained / "checkpoint.aotc"
+    out = tmp_path / "again"
+    assert run("--config", tiny_ini, "--seed", 5, "--out", out, "train",
+               "--resume", done) == 0
+    summary = (out / "summary.txt").read_text()
+    assert summary.startswith(f"no step left to run: {done} is at step 10 of 10\n")
+    assert f"checkpoint (rewritten): {out / 'checkpoint.aotc'}" in summary
+    assert summary == capsys.readouterr().out
+    # the rewritten checkpoint holds the finished state unchanged
+    assert (out / "checkpoint.aotc").read_bytes() == done.read_bytes()
+
+
 def test_train_blowup_exits_three(tiny_ini, tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         code = run("--config", tiny_ini, "--out", tmp_path, "train",
@@ -405,12 +419,17 @@ TINY_GEN = ("gen-data", "--grid", 8, "--n-train", 1, "--n-test", 1)
     (("train", "noise", "inf"), ("train",)),
     (("train", "weight_decay", "nan"), ("train",)),
     (("model", "gate_init", "nan"), ("train",)),
+    (("train", "eps", "0"), ("train",)),
+    (("train", "weight_decay", "-1"), ("train",)),
+    (None, ("train", "--epochs", "x")),
+    (None, TINY_GEN + ("--grid", 1.5)),
 ], ids=["checkpoint-every", "horizon", "n-probe", "threads-zero",
         "threads-negative", "run-section-threads", "grid", "patch-zero",
         "heads-zero", "groups-word", "clip-norm-word", "epochs-zero",
         "epochs-flag-zero", "warmup-past-epochs", "n-test-zero",
         "frozen-without-source", "grid-not-power-of-two", "peak-lr-nan",
-        "noise-inf", "weight-decay-nan", "gate-init-nan"])
+        "noise-inf", "weight-decay-nan", "gate-init-nan", "eps-zero",
+        "weight-decay-negative", "epochs-flag-word", "grid-flag-fraction"])
 def test_bad_numeric_flag_is_usage_error(tiny_ini, trained, tmp_path, capsys,
                                          monkeypatch, setting, argv):
     monkeypatch.chdir(tmp_path)  # a command that wrongly runs writes here

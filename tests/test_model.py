@@ -1,6 +1,7 @@
 """Assembled network: embedding, aggregation, forward contracts, gradients."""
 
 import hashlib
+import zlib
 
 import numpy as np
 import pytest
@@ -223,6 +224,22 @@ def test_forward_collects_maps_per_sublayer():
     assert maps[0].t.shape == (1, cfg.streams, cfg.streams)
 
 
+def test_forward_runs_at_the_model_precision():
+    model, cfg = make_model(40)
+    model.astype(np.float32)
+    u = window(np.random.default_rng(41), cfg, b=2)
+    cast_first = model.forward(u.astype(np.float32)).data
+    for given in (u, Tensor(u)):
+        out = model.forward(given).data
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, cast_first)
+    # a Tensor already at the model's dtype is used as is: its graph stays
+    taped = Tensor(u.astype(np.float32), requires_grad=True)
+    with Tape() as tape:
+        tape.backward(ad.tsum(model.forward(taped)))
+    assert taped.grad is not None and taped.grad.dtype == np.float32
+
+
 def test_forward_window_length_check():
     model, cfg = make_model(21)
     with pytest.raises(ShapeError):
@@ -240,9 +257,9 @@ def test_forward_overflow_reports_location():
     assert err.value.where == "head"
 
     model, cfg = make_model(24)
-    model.block_sublayers[3].inner.lin1.w.data = \
-        model.block_sublayers[3].inner.lin1.w.data.copy()
-    model.block_sublayers[3].inner.lin1.w.data[0, 0] = np.nan
+    model.blocks[1].mlp.inner.lin1.w.data = \
+        model.blocks[1].mlp.inner.lin1.w.data.copy()
+    model.blocks[1].mlp.inner.lin1.w.data[0, 0] = np.nan
     with pytest.raises(NumericOverflowError) as err:
         model.forward(Tensor(window(np.random.default_rng(25), cfg)))
     assert err.value.where == "block 1 sublayer 1"
@@ -405,7 +422,7 @@ def test_every_parameter_class_has_fd_consistent_gradients():
     assert len(names) > 30
     for name, t in names.items():
         assert t.grad is not None, f"{name} missing grad"
-        idx, num = fd_entries(loss_fn, t, k=3, seed=hash(name) % 2**32)
+        idx, num = fd_entries(loss_fn, t, k=3, seed=zlib.crc32(name.encode()))
         got = t.grad.reshape(-1)[idx]
         err = np.abs(got - num)
         scale = np.maximum(np.abs(num), 1e-12)
@@ -480,7 +497,7 @@ def test_desk_parameters_carry_gradient():
     cfg = ModelConfig(gate_init=0.5)
     model = Model(cfg, np.random.default_rng(7))
     rng = np.random.default_rng(8)
-    model.w_readout.data = rng.standard_normal(cfg.streams)
+    model.readout.w.data = rng.standard_normal(cfg.streams)
     u = window(rng, cfg, b=8)
     target = rng.standard_normal((8, cfg.height, cfg.width, cfg.channels))
     with Tape() as tape:
@@ -513,7 +530,7 @@ def test_whole_model_gradient_bites_on_every_live_tensor():
         if ".mix.inner." in name:
             t.data = 0.5 * rng.standard_normal(t.shape)
     model.gamma.data = 0.5 * rng.standard_normal(cfg.d_z)
-    model.w_readout.data = rng.standard_normal(cfg.streams)
+    model.readout.w.data = rng.standard_normal(cfg.streams)
     u = window(rng, cfg, b=2)
     w = rng.standard_normal((2, cfg.height, cfg.width, cfg.channels))
 

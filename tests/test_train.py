@@ -362,6 +362,13 @@ def test_train_config_validation():
     for clip_norm in (0.0, -1.0):
         with pytest.raises(ValueError):
             TrainConfig(clip_norm=clip_norm)
+    # eps = 0 turns AdamW's update of an exactly zero gradient into 0 / 0
+    for eps in (0.0, -1e-8):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            TrainConfig(eps=eps)
+    with pytest.raises(ValueError, match="weight_decay must be nonnegative"):
+        TrainConfig(weight_decay=-1.0)
+    assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
     for key in ("peak_lr", "weight_decay", "eps", "noise", "clip_norm"):
         for value in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match=f"{key} must be finite"):
@@ -576,13 +583,11 @@ def test_metrics_csv_layout(tmp_path, heat_corpus):
 def test_validate_uses_native_channels_only(heat_corpus):
     # persistence stub: echoes the last window frame, corrupts the pad channel
     class Stub:
-        dtype = np.float64
-
         class cfg:
             t_in = 3
 
         def forward(self, u):
-            pred = u.data[:, -1].copy()
+            pred = u[:, -1].copy()
             pred[..., 1] += 999.0
             return Tensor(pred)
 
@@ -599,13 +604,11 @@ def test_validate_strided_windows_oracle():
     # value t+1 the per-start error is 1/(s+t_in+1), so the family value is
     # the plain mean of that series over the scored starts
     class Stub:
-        dtype = np.float64
-
         class cfg:
             t_in = 3
 
         def forward(self, u):
-            return Tensor(u.data[:, -1].copy())
+            return Tensor(u[:, -1].copy())
 
     frames = np.arange(1.0, 13.0)[:, None, None, None] * np.ones((12, 4, 4, 1))
     from aotlab.data import TrajectoryDataset

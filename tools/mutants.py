@@ -16,16 +16,18 @@ either ``matmul`` operand without its transpose; the ``tsum`` and
 ``transpose``, ``broadcast_to``, ``concat`` and ``_unbroadcast``; and the
 accumulation in ``Tape.backward``.  Some break ``node``, which decides
 whether an output joins the tape: it records outputs whose inputs need no
-grad, or a call site leaves out one of its inputs.  Two break
+grad, or a call site leaves out one of its inputs.  Three break
 ``Module.named``, the walk that names every parameter: one skips the
-nested modules, one lists the names in reverse.  The mutants of
+nested modules, one lists the names in reverse, one names the items of a
+list without their index.  The mutants of
 ``sinkhorn.py`` and ``blocks.py`` break the backward of the two fused
 nodes: a Sinkhorn sweep's column term with a flipped sign, one sweep too
 few replayed, the sweep input and the row-normalized matrix swapped; a
 GroupNorm backward that drops one of the two variance terms, sums its
 broadcast without the C-ordered copy, or flips the sign of the mean term.
-For each mutant the repository is copied to a temporary directory, the
-mutant is applied there, and the suite runs::
+The mutant of ``model.py`` runs a window of another dtype without casting
+it to the model's precision.  For each mutant the repository is copied to
+a temporary directory, the mutant is applied there, and the suite runs::
 
     python -m pytest -x -q tests bench/tests --deselect tests/test_acceptance.py
 
@@ -49,6 +51,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 AUTODIFF = os.path.join("src", "aotlab", "autodiff.py")
 SINKHORN = os.path.join("src", "aotlab", "sinkhorn.py")
 BLOCKS = os.path.join("src", "aotlab", "blocks.py")
+MODEL = os.path.join("src", "aotlab", "model.py")
 COMMAND = [sys.executable, "-m", "pytest", "-x", "-q", "tests", "bench/tests",
            "--deselect", "tests/test_acceptance.py"]
 IGNORE = shutil.ignore_patterns(".git", "bench_runs", "__pycache__",
@@ -110,7 +113,9 @@ MUTANTS = {AUTODIFF: [
     ("Tape.backward: overwrite across calls",
      "t.grad = g if t.grad is None else t.grad + g", "t.grad = g"),
     ("Module.named: nested modules skipped",
-     "out.update(value.named(f\"{prefix}.{attr}\"))", "pass"),
+     "out.update(value.named(name))", "pass"),
+    ("Module.named: list items without their index",
+     "out.update(item.named(f\"{name}.{i}\"))", "out.update(item.named(name))"),
     ("Module.named: names in reverse",
      "for attr, value in vars(self).items():",
      "for attr, value in reversed(vars(self).items()):"),
@@ -139,6 +144,10 @@ MUTANTS = {AUTODIFF: [
     ("GroupNorm: g_mean sign", "g_mean = ad._unbroadcast(-g_centered",
      "g_mean = ad._unbroadcast(g_centered"),
     ("GroupNorm: drops input shift", "bwd, x, scale, shift)", "bwd, x, scale)"),
+], MODEL: [
+    ("Model: window not cast to the model's dtype",
+     "Tensor(u.data if isinstance(u, Tensor) else u, dtype=self.dtype)",
+     "Tensor(u.data if isinstance(u, Tensor) else u)"),
 ]}
 
 
