@@ -81,7 +81,15 @@ class Tape:
                 return
             g = _unbroadcast(g, t.data.shape)
             held = store.get(t)
-            store[t] = g.astype(t.data.dtype, copy=True) if held is None else held + g
+            if held is not None:
+                store[t] = held + g
+            elif g.dtype == t.data.dtype and g.flags.c_contiguous:
+                # no backward writes into an array it is given, so a
+                # C-ordered gradient is kept as is; any other is copied in
+                # its stride order, which fixes the order of later sums
+                store[t] = g
+            else:
+                store[t] = g.astype(t.data.dtype, copy=True)
 
         for out, backward_fn in reversed(self._nodes):
             g = store.pop(out, None)
@@ -302,14 +310,19 @@ def exp(a) -> Tensor:
     return _unary(a, value, value)
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Numerically stable 1 / (1 + exp(-x)) of an array."""
+    value = np.empty_like(x)
+    pos = x >= 0
+    value[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    value[~pos] = e / (1.0 + e)
+    return value
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    # numerically stable logistic
-    value = np.empty_like(a.data)
-    pos = a.data >= 0
-    value[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    e = np.exp(a.data[~pos])
-    value[~pos] = e / (1.0 + e)
+    value = logistic(a.data)
     return _unary(a, value, value * (1.0 - value))
 
 

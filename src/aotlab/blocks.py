@@ -13,6 +13,17 @@ pair, ``a x`` contracts the streams to one field, and ``d^T (...)``
 scatters the result back to all streams.
 
 Tensor layout is batched throughout: stream states are (B, n, C, H, W).
+
+The adaptive path records few tape nodes: ``pool_rms`` and one
+``gated_map`` per map, then the Sinkhorn node, build the maps; ``contract``
+and ``combine`` apply them around the sub-layer.  Like ``GroupNorm`` and
+the Sinkhorn node, each backward replays, in reverse, exactly the numpy
+operations the tape runs for the op-by-op graph of ``mean``, ``reshape``,
+``mul``, ``add``, ``rsqrt``, ``sigmoid``, ``sum``, ``div`` and ``matmul``
+nodes, including the order of every accumulation, and keeps each
+gradient the tape stores in the layout the op-by-op tape gives it.  Values
+and gradients are bit-identical to that graph at 7 nodes per sub-layer
+instead of 36.
 """
 
 from __future__ import annotations
@@ -110,12 +121,6 @@ def default_groups(channels: int) -> int:
     return 8 if channels % 8 == 0 else 1
 
 
-def rms_norm(v: Tensor, scale: Tensor) -> Tensor:
-    """Root-mean-square normalization over the last axis of (B, D) input."""
-    ms = ad.tmean(v * v, axis=-1, keepdims=True)
-    return v * ad.rsqrt(ms + RMS_NORM_EPS) * scale
-
-
 def softmax_vector(w: Tensor) -> Tensor:
     """Softmax of a small 1-D logit vector (plain exp; logits stay O(1))."""
     e = ad.exp(w)
@@ -201,50 +206,150 @@ class AotParams(Module):
         self.rms_scale = param(np.ones(nc))
 
 
+def pool_rms(x: Tensor, scale: Tensor) -> Tensor:
+    """Mean of each stream's channels over (H, W), flattened to (B, n * C)
+    and RMS-normalized over that axis with the per-entry ``scale``.  One
+    tape node."""
+    xd, sc = x.data, scale.data
+    b, n, c, h, w = xd.shape
+    vec = (xd.sum(axis=(3, 4)) * (1.0 / (h * w))).reshape(b, n * c)
+    ms_eps = (vec * vec).sum(axis=-1, keepdims=True) * (1.0 / (n * c)) + RMS_NORM_EPS
+    r = 1.0 / np.sqrt(ms_eps)
+    vr = vec * r
+
+    def bwd(g, acc):
+        acc(scale, g * vr)
+        g_vr = g * sc
+        g_r = (g_vr * vec).sum(axis=-1, keepdims=True)
+        g_sq = g_r * (-0.5 * r / ms_eps) * (1.0 / (n * c)) * vec
+        # vec * r first, then both factors of vec * vec
+        g_pool = (g_vr * r + g_sq + g_sq).reshape(b, n, c) * (1.0 / (h * w))
+        acc(x, np.broadcast_to(np.expand_dims(g_pool, (3, 4)), xd.shape))
+
+    return ad.node(vr * sc, bwd, x, scale)
+
+
+def _simplex(z: np.ndarray):
+    """sigmoid(z) normalized to sum 1 over the last axis."""
+    s = ad.logistic(z)
+    total = s.sum(axis=-1, keepdims=True)
+
+    def to_z(g):
+        g_total = (-g * s / (total * total)).sum(axis=-1, keepdims=True)
+        return (g / total + g_total) * (s * (1.0 - s))
+
+    return s / total, to_z
+
+
+def _twice_sigmoid(z: np.ndarray):
+    """2 sigmoid(z), in (0, 2)."""
+    s = ad.logistic(z)
+    return s * 2.0, lambda g: g * 2.0 * (s * (1.0 - s))
+
+
+def _reshaped(shape: tuple):
+    """The logits themselves, reshaped to ``shape``."""
+    return lambda z: (z.reshape(shape), lambda g: g.reshape(z.shape))
+
+
+def gated_map(vec: Tensor, phi: Tensor, alpha: Tensor, bias: Tensor,
+              constraint) -> Tensor:
+    """``constraint(alpha * (vec @ phi) + bias)`` as one tape node.
+    ``constraint(z)`` returns the value and the function that takes the
+    value's gradient back to ``z``."""
+    vd, pd, al = vec.data, phi.data, alpha.data
+    mm = vd @ pd
+    value, to_z = constraint(al * mm + bias.data)
+
+    def bwd(g, acc):
+        gz = to_z(g)
+        acc(bias, gz)
+        acc(alpha, gz * mm)
+        g_mm = gz * al
+        acc(vec, g_mm @ pd.swapaxes(-1, -2))
+        acc(phi, vd.swapaxes(-1, -2) @ g_mm)
+
+    return ad.node(value, bwd, vec, phi, alpha, bias)
+
+
 def compute_maps(x: Tensor, params: AotParams, sinkhorn_iters: int = 20) -> AotMaps:
-    """Pooled state -> RMS-normalized vector -> gated affine maps -> constraints."""
+    """Pooled state -> RMS-normalized vector -> gated affine maps -> constraints.
+
+    Records five tape nodes: ``pool_rms``, one ``gated_map`` each for a, d
+    and the raw T logits, in that order, then the Sinkhorn projection.  The
+    tape runs their backwards in reverse, so the gradient into the pooled
+    vector adds up in the order T, d, a.
+    """
     b, n, c, h, w = x.shape
     if n != params.n or c != params.channels:
         raise ShapeError(f"state ({n} streams, {c} ch) does not match params "
                          f"({params.n} streams, {params.channels} ch)")
-    pooled = ad.tmean(x, axis=(3, 4))               # (B, n, C)
-    vec = ad.reshape(pooled, (b, n * c))
-    vec = rms_norm(vec, params.rms_scale)
-
-    gated_a = params.alpha_a * ad.matmul(vec, params.phi_a) + params.b_a
-    gated_d = params.alpha_d * ad.matmul(vec, params.phi_d) + params.b_d
-    gated_t = ad.reshape(params.alpha_t * ad.matmul(vec, params.phi_t) + params.b_t,
-                         (b, n, n))
-
-    sa = ad.sigmoid(gated_a)
-    a = sa / ad.tsum(sa, axis=-1, keepdims=True)
-    d = 2.0 * ad.sigmoid(gated_d)
-    t = sinkhorn_tensor(gated_t, iters=sinkhorn_iters)
-    return AotMaps(a=a, d=d, t=t)
+    vec = pool_rms(x, params.rms_scale)
+    a = gated_map(vec, params.phi_a, params.alpha_a, params.b_a, _simplex)
+    d = gated_map(vec, params.phi_d, params.alpha_d, params.b_d, _twice_sigmoid)
+    raw_t = gated_map(vec, params.phi_t, params.alpha_t, params.b_t,
+                      _reshaped((b, n, n)))
+    return AotMaps(a=a, d=d, t=sinkhorn_tensor(raw_t, iters=sinkhorn_iters))
 
 
-def stream_mix(t: Tensor, x: Tensor) -> Tensor:
-    """Apply a (B, n, n) matrix along the stream axis of (B, n, C, H, W)."""
-    b, n, c, h, w = x.shape
-    mixed = ad.matmul(t, ad.reshape(x, (b, n, c * h * w)))
-    return ad.reshape(mixed, (b, n, c, h, w))
+def identity_maps(x: Tensor) -> AotMaps:
+    """The constant maps of the strict identity mode: a uniform, d all-ones
+    and T the exact identity."""
+    b, n = x.shape[:2]
+    dtype = x.dtype
+    return AotMaps(a=Tensor(np.full((b, n), 1.0 / n, dtype=dtype)),
+                   d=Tensor(np.ones((b, n), dtype=dtype)),
+                   t=Tensor(np.broadcast_to(np.eye(n, dtype=dtype), (b, n, n))))
 
 
-def aot_update(x: Tensor, maps: AotMaps | None, sublayer) -> Tensor:
-    """One multi-stream residual update; ``maps=None`` means the strict
-    identity mode (T = I exactly, a uniform, d all-ones), used to compare
-    against a plain single-stream residual network."""
-    b, n, c, h, w = x.shape
-    if maps is None:
-        mixed = x
-        contracted = ad.tmean(x, axis=1)
-        y = sublayer(contracted)
-        return mixed + ad.reshape(y, (b, 1, c, h, w))
-    mixed = stream_mix(maps.t, x)
-    contracted = ad.tsum(x * ad.reshape(maps.a, (b, n, 1, 1, 1)), axis=1)
-    y = sublayer(contracted)
-    scattered = ad.reshape(maps.d, (b, n, 1, 1, 1)) * ad.reshape(y, (b, 1, c, h, w))
-    return mixed + scattered
+def contract(x: Tensor, a: Tensor) -> Tensor:
+    """sum_i a_i x_i over the streams of (B, n, C, H, W): one tape node."""
+    xd = x.data
+    b, n = xd.shape[:2]
+    ar = a.data.reshape(b, n, 1, 1, 1)
+
+    def bwd(g, acc):
+        # The op-by-op tape stores the broadcast gradient g_xa as a copy
+        # with the stream axis innermost.  g_xa * xd still comes out
+        # C-ordered, so the sums into a see the same layout here.  g_xa * ar
+        # does not, but x's stored gradient already holds combine's
+        # C-ordered term when this runs, and the sum of the two is
+        # C-ordered either way.
+        g_xa = np.expand_dims(g, 1)
+        acc(x, g_xa * ar)
+        acc(a, (g_xa * xd).sum(axis=(2, 3, 4)))
+
+    return ad.node((xd * ar).sum(axis=1), bwd, x, a)
+
+
+def combine(x: Tensor, t: Tensor, d: Tensor, y: Tensor) -> Tensor:
+    """T x + d^T y: the (B, n, n) matrices mix the streams of x, and d
+    scatters the (B, C, H, W) field y to them.  One tape node."""
+    xd, td = x.data, t.data
+    b, n, c, h, w = xd.shape
+    xr = xd.reshape(b, n, c * h * w)
+    dr = d.data.reshape(b, n, 1, 1, 1)
+    yr = y.data.reshape(b, 1, c, h, w)
+
+    def bwd(g, acc):
+        acc(d, (g * yr).sum(axis=(2, 3, 4)))
+        acc(y, (g * dr).sum(axis=1))
+        g_mixed = g.reshape(xr.shape)
+        acc(t, g_mixed @ xr.swapaxes(-1, -2))
+        acc(x, (td.swapaxes(-1, -2) @ g_mixed).reshape(xd.shape))
+
+    mixed = (td @ xr).reshape(xd.shape)
+    scattered = dr * yr
+    # Named, neither sum operand is a temporary numpy may reuse as the
+    # output: reusing scattered would give the sum y's layout (channels
+    # last after the MLP), not the C order of the op-by-op add.
+    return ad.node(mixed + scattered, bwd, x, t, d, y)
+
+
+def aot_update(x: Tensor, maps: AotMaps, sublayer) -> Tensor:
+    """One multi-stream residual update x_next = T x + d^T f(a x): the
+    ``contract`` node, the sub-layer's own nodes, then the ``combine`` node."""
+    return combine(x, maps.t, maps.d, sublayer(contract(x, maps.a)))
 
 
 def readout(x: Tensor, w: Tensor) -> Tensor:
@@ -281,8 +386,11 @@ class AotSubLayer(Module):
         return self.post(self.inner.forward(self.pre(u)))
 
     def forward(self, x: Tensor, strict_identity: bool = False):
-        """Returns (next state, AotMaps or None)."""
-        maps = None if strict_identity else compute_maps(x, self.maps, self.sinkhorn_iters)
+        """Returns (next state, AotMaps), or (next state, None) in the strict
+        identity mode, which updates through the constant ``identity_maps``."""
+        if strict_identity:
+            return aot_update(x, identity_maps(x), self._wrapped), None
+        maps = compute_maps(x, self.maps, self.sinkhorn_iters)
         return aot_update(x, maps, self._wrapped), maps
 
     def reference_forward(self, u: Tensor) -> Tensor:

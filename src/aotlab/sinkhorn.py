@@ -92,13 +92,14 @@ def sinkhorn_tensor(raw: Tensor, iters: int = 20) -> Tensor:
     def bwd(g, acc):
         # Each sweep is m_rows = m_in / rows, m = m_rows / cols.  Per div
         # node the tape first stores g / divisor for the numerator, then
-        # the sum node adds the divisor's broadcast gradient.
+        # the sum node adds the divisor's broadcast gradient, the sum of
+        # -g * numerator / divisor**2.  Negation is exact and commutes
+        # with every rounding here, so subtracting the sum of g *
+        # numerator / divisor**2 gives the same bits with one pass less.
         ins = [e] + [m for *_, m in steps[:-1]]
         for m_in, (rows, m_rows, cols, _) in zip(reversed(ins), reversed(steps)):
-            g_cols = ad._unbroadcast(-g * m_rows / (cols * cols), cols.shape)
-            g = g / cols + g_cols
-            g_rows = ad._unbroadcast(-g * m_in / (rows * rows), rows.shape)
-            g = g / rows + g_rows
+            g = g / cols - (g * m_rows / (cols * cols)).sum(axis=-2, keepdims=True)
+            g = g / rows - (g * m_in / (rows * rows)).sum(axis=-1, keepdims=True)
         acc(raw, g * e)
 
     return ad.node(steps[-1][-1], bwd, raw)

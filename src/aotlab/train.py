@@ -133,22 +133,37 @@ def _check_finite(grads: dict) -> None:
                 f"non-finite gradient for parameter {name}", where=name)
 
 
+def _segments(sizes) -> list:
+    """(start, stop) of each of ``sizes`` laid end to end in one buffer."""
+    stops = np.cumsum(sizes).tolist()
+    return list(zip([0] + stops[:-1], stops))
+
+
 def clip_gradients(grads: dict, max_norm: float) -> tuple[dict, float]:
     """Scale all gradients jointly so the global L2 norm is at most max_norm.
 
-    A non-finite gradient raises before anything is scaled, naming it.
+    The gradients are squared once, in float64, as one flat buffer; the
+    norm adds up one sum per gradient's segment, in name order, which has
+    the bits of summing each gradient on its own.  A non-finite
+    gradient raises before anything is scaled, naming it.
     """
+    flat = np.concatenate([g.ravel(order="K") for g in grads.values()] or [np.zeros(0)],
+                          dtype=np.float64)
+    segments = _segments([g.size for g in grads.values()])
+
+    def sum_sq(values):
+        sq = values * values
+        return sum(float(sq[lo:hi].sum()) for lo, hi in segments)
+
     with np.errstate(over="ignore"):
-        total_sq = sum(float(np.sum(g.astype(np.float64) ** 2))
-                       for g in grads.values())
+        total_sq = sum_sq(flat)
     if math.isfinite(total_sq):
         total = math.sqrt(total_sq)
     else:
         _check_finite(grads)
         # finite gradients whose squares overflow: rescale by the largest |g|
-        peak = max(float(np.max(np.abs(g), initial=0.0)) for g in grads.values())
-        total = peak * math.sqrt(sum(
-            float(np.sum((g.astype(np.float64) / peak) ** 2)) for g in grads.values()))
+        peak = float(np.max(np.abs(flat), initial=0.0))
+        total = peak * math.sqrt(sum_sq(flat / peak))
     if total <= max_norm or total == 0.0:
         return grads, total
     factor = max_norm / total
@@ -156,7 +171,15 @@ def clip_gradients(grads: dict, max_norm: float) -> tuple[dict, float]:
 
 
 class AdamW:
-    """Adam with decoupled weight decay and bias correction."""
+    """Adam with decoupled weight decay and bias correction.
+
+    The parameters of one dtype share one flat buffer for each moment, in
+    name order; ``m[name]`` and ``v[name]`` are views into them, updated in
+    place.  A step gathers each dtype's gradients, cast to it, and the
+    parameters' current ``data`` into flat arrays, updates them with
+    whole-buffer operations, and rebinds every parameter's ``data`` to its
+    segment of the result.
+    """
 
     def __init__(self, params: dict, betas=(0.9, 0.9), eps: float = 1e-8,
                  weight_decay: float = 0.0):
@@ -165,27 +188,48 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.m, self.v = {}, {}
+        by_dtype: dict = {}
+        for name, p in self.params.items():
+            by_dtype.setdefault(p.data.dtype, []).append(name)
+        self._groups = []    # (dtype, names, segments, m, v) per dtype
+        for dtype, names in by_dtype.items():
+            segments = _segments([self.params[k].data.size for k in names])
+            m, v = np.zeros(segments[-1][1], dtype), np.zeros(segments[-1][1], dtype)
+            self.m.update(zip(names, self._split(m, names, segments)))
+            self.v.update(zip(names, self._split(v, names, segments)))
+            self._groups.append((dtype, names, segments, m, v))
+
+    def _split(self, flat: np.ndarray, names: list, segments: list) -> list:
+        return [flat[lo:hi].reshape(self.params[k].data.shape)
+                for k, (lo, hi) in zip(names, segments)]
 
     def step(self, grads: dict, lr: float) -> None:
         """Apply one update; a non-finite gradient raises before any change."""
-        _check_finite({name: grads.get(name) for name in self.params})
+        flat_grads = []
+        for dtype, names, segments, *_ in self._groups:
+            g = np.concatenate([np.zeros(hi - lo, dtype) if grads.get(k) is None
+                                else grads[k].ravel()
+                                for k, (lo, hi) in zip(names, segments)], dtype=dtype)
+            if g.size != segments[-1][1]:
+                raise ShapeError("gradient sizes do not match the parameters'")
+            if not np.isfinite(g).all():
+                _check_finite({name: grads.get(name) for name in self.params})
+            flat_grads.append(g)
         self.t += 1
         b1, b2 = self.betas
-        for name, p in self.params.items():
-            g = grads.get(name)
-            if g is None:
-                g = np.zeros_like(p.data)
-            m, v = self.m[name], self.v[name]
+        for (dtype, names, segments, m, v), g in zip(self._groups, flat_grads):
+            p = np.concatenate([self.params[k].data.ravel() for k in names], dtype=dtype)
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
             m_hat = m / (1.0 - b1 ** self.t)
             v_hat = v / (1.0 - b2 ** self.t)
-            p.data = (p.data - lr * self.weight_decay * p.data
-                      - lr * m_hat / (np.sqrt(v_hat) + self.eps))
+            p = (p - lr * self.weight_decay * p
+                 - lr * m_hat / (np.sqrt(v_hat) + self.eps))
+            for k, view in zip(names, self._split(p, names, segments)):
+                self.params[k].data = view
 
     def state_blocks(self) -> dict:
         out = {}
@@ -197,9 +241,8 @@ class AdamW:
     def load_state_blocks(self, blocks: dict, t: int) -> None:
         for name, p in self.params.items():
             for kind, store in (("m", self.m), ("v", self.v)):
-                # step() updates the moments in place, so each owns its copy
-                store[name] = _checked_array(blocks, f"{name}.{kind}", p.data,
-                                             "optimizer block", "parameter", copy=True)
+                store[name][...] = _checked_array(blocks, f"{name}.{kind}", p.data,
+                                                  "optimizer block", "parameter")
         self.t = t
 
 
@@ -219,7 +262,7 @@ def save_training_checkpoint(path: str, model, opt: AdamW, step: int,
 
 
 def _checked_array(arrays: dict, key: str, like: np.ndarray, what: str,
-                   owner: str, copy: bool = False) -> np.ndarray:
+                   owner: str) -> np.ndarray:
     """The checkpoint array ``key``, checked against ``like``'s shape and
     cast to its dtype; ``what`` and ``owner`` name both in errors."""
     if key not in arrays:
@@ -228,7 +271,7 @@ def _checked_array(arrays: dict, key: str, like: np.ndarray, what: str,
     if arr.shape != like.shape:
         raise FormatError(f"{what} {key!r} shape {arr.shape} "
                           f"vs {owner} shape {like.shape}")
-    return arr.astype(like.dtype, copy=copy)
+    return arr.astype(like.dtype, copy=False)
 
 
 def _copy_tensors(named: dict, arrays: dict, what: str) -> None:

@@ -1,6 +1,8 @@
 """Stream lifting, adaptive maps, residual update, norms, readout."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from aotlab import autodiff as ad
 from aotlab.autodiff import Tape, Tensor
 from aotlab.blocks import (
     GROUP_NORM_EPS,
+    RMS_NORM_EPS,
     AotMaps,
     AotParams,
     AotSubLayer,
@@ -16,17 +19,23 @@ from aotlab.blocks import (
     GroupNorm,
     Linear,
     MixerSubLayer,
+    _reshaped,
+    _simplex,
+    _twice_sigmoid,
     aot_update,
+    combine,
     compute_maps,
+    contract,
     default_groups,
+    gated_map,
+    identity_maps,
     lift,
+    pool_rms,
     readout,
-    rms_norm,
     softmax_vector,
-    stream_mix,
 )
 from aotlab.errors import ShapeError
-from aotlab.sinkhorn import sinkhorn_array
+from aotlab.sinkhorn import sinkhorn_array, sinkhorn_tensor
 
 from test_tensor import check_grad, fd_grad
 
@@ -184,10 +193,12 @@ def test_group_norm_group_selection_and_errors():
 
 
 def test_rms_norm_matches_oracle():
+    """``pool_rms`` of a 1 x 1 field is the RMS norm of its flattened
+    streams."""
     rng = np.random.default_rng(3)
     v = rng.standard_normal((5, 16))
     scale = rng.standard_normal(16)
-    got = rms_norm(Tensor(v), Tensor(scale)).numpy()
+    got = pool_rms(Tensor(v.reshape(5, 4, 4, 1, 1)), Tensor(scale)).numpy()
     want = v / np.sqrt((v ** 2).mean(axis=-1, keepdims=True) + 1e-6) * scale
     np.testing.assert_allclose(got, want, atol=1e-13)
 
@@ -344,12 +355,228 @@ def test_update_identical_streams_stay_identical(seed):
 
 
 def test_stream_mix_matches_einsum():
+    """With nothing scattered, ``combine`` is the stream mix T x."""
     rng = np.random.default_rng(11)
     t = rng.standard_normal((2, 4, 4))
     x = rng.standard_normal((2, 4, 3, 4, 4))
-    got = stream_mix(Tensor(t), Tensor(x)).numpy()
+    got = combine(Tensor(x), Tensor(t), Tensor(np.zeros((2, 4))),
+                  Tensor(rng.standard_normal((2, 3, 4, 4)))).numpy()
     want = np.einsum("bij,bjchw->bichw", t, x)
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+# ---------------------------------------------------------------------
+# the fused adaptive nodes against the op-by-op tape they replace
+# ---------------------------------------------------------------------
+
+def rms_norm_ops(v, scale):
+    """Root-mean-square normalization over the last axis of (B, D) input."""
+    ms = ad.tmean(v * v, axis=-1, keepdims=True)
+    return v * ad.rsqrt(ms + RMS_NORM_EPS) * scale
+
+
+def compute_maps_ops(x, params, sinkhorn_iters=20):
+    """The maps as a graph of mean, reshape, mul, add, rsqrt, matmul,
+    sigmoid, sum and div nodes, then the Sinkhorn node."""
+    b, n, c, h, w = x.shape
+    pooled = ad.tmean(x, axis=(3, 4))
+    vec = ad.reshape(pooled, (b, n * c))
+    vec = rms_norm_ops(vec, params.rms_scale)
+    gated_a = params.alpha_a * ad.matmul(vec, params.phi_a) + params.b_a
+    gated_d = params.alpha_d * ad.matmul(vec, params.phi_d) + params.b_d
+    gated_t = ad.reshape(params.alpha_t * ad.matmul(vec, params.phi_t) + params.b_t,
+                         (b, n, n))
+    sa = ad.sigmoid(gated_a)
+    a = sa / ad.tsum(sa, axis=-1, keepdims=True)
+    d = 2.0 * ad.sigmoid(gated_d)
+    t = sinkhorn_tensor(gated_t, iters=sinkhorn_iters)
+    return AotMaps(a=a, d=d, t=t)
+
+
+def aot_update_ops(x, maps, sublayer):
+    """The update as a graph of reshape, matmul, mul, sum and add nodes."""
+    b, n, c, h, w = x.shape
+    mixed = ad.reshape(ad.matmul(maps.t, ad.reshape(x, (b, n, c * h * w))),
+                       (b, n, c, h, w))
+    contracted = ad.tsum(x * ad.reshape(maps.a, (b, n, 1, 1, 1)), axis=1)
+    y = sublayer(contracted)
+    scattered = ad.reshape(maps.d, (b, n, 1, 1, 1)) * ad.reshape(y, (b, 1, c, h, w))
+    return mixed + scattered
+
+
+def input_dependent_params(n, c, dtype, seed):
+    """Map parameters with gates and biases far from their init, so every
+    map depends on the state."""
+    rng = np.random.default_rng(seed)
+    params = AotParams(n, c, rng)
+    for name, t in params.named().items():
+        if name.startswith(("alpha", "b_")):
+            t.data = t.data + 0.5 * rng.standard_normal(t.shape)
+        t.data = t.data.astype(dtype)
+    return params
+
+
+def channels_last_sublayer(y0):
+    """u -> u * u + y0 computed channels last, as the channel MLP does, so
+    that y is a transposed view; y0's gradient is the gradient into y."""
+    def sublayer(u):
+        v = ad.transpose(u, (0, 2, 3, 1))
+        return ad.transpose(v * v + y0, (0, 3, 1, 2))
+    return sublayer
+
+
+def taped_step(maps_fn, update_fn, params, leaves, w):
+    """Values, leaf gradients and (maps, update) node counts of
+    sum(update(x, maps(x)) * w), where x = base * gain and the sub-layer is
+    ``channels_last_sublayer(y0)``.  ``gain`` sums its gradient over every
+    axis but the stream axis, so it sees the memory layout of the gradient
+    stored for x."""
+    base, gain, y0 = leaves
+    named = list(params.named().values())
+    for t in [*leaves, *named]:
+        t.grad = None
+    with Tape() as tape:
+        x = base * gain
+        start = len(tape)
+        maps = maps_fn(x, params, 20)
+        mid = len(tape)
+        out = update_fn(x, maps, channels_last_sublayer(y0))
+        nodes = (mid - start, len(tape) - mid)
+        tape.backward(ad.tsum(out * Tensor(w)))
+    values = [out.data, maps.a.data, maps.d.data, maps.t.data]
+    return values, [t.grad for t in [*leaves, *named]], nodes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(8, 4, 64, 4, 4), (24, 4, 64, 4, 4), (2, 3, 8, 2, 4)],
+                         ids=["desk", "wide", "n3"])
+def test_adaptive_nodes_are_bit_identical_to_op_by_op_tape(dtype, shape):
+    """Also at a batch whose states exceed 256 KiB in float32 too: from
+    that size numpy may reuse a temporary as an operation's output, which
+    can change the output's memory layout."""
+    b, n, c, h, w = shape
+    rng = np.random.default_rng(70)
+    params = input_dependent_params(n, c, dtype, seed=71)
+    leaves = [Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True),
+              Tensor(rng.uniform(0.5, 1.5, (1, n, 1, 1, 1)).astype(dtype),
+                     requires_grad=True),
+              Tensor(rng.standard_normal((b, h, w, c)).astype(dtype), requires_grad=True)]
+    wts = rng.standard_normal(shape).astype(dtype)
+    want = taped_step(compute_maps_ops, aot_update_ops, params, leaves, wts)
+    got = taped_step(compute_maps, aot_update, params, leaves, wts)
+    # x (through base and gain), y (as y0) and all ten map tensors
+    assert len(got[1]) == 13
+    for g, v in zip(got[0] + got[1], want[0] + want[1]):
+        assert g is not None and g.dtype == dtype
+        assert g.strides == v.strides
+        np.testing.assert_array_equal(g, v)
+    # pool_rms, three gated maps and Sinkhorn; contract and combine around
+    # the sub-layer's two transposes, mul and add
+    assert (got[2], want[2]) == ((5, 6), (26, 14))
+
+
+def test_maps_constants_and_zero_gradients_match_op_by_op_tape():
+    """With the identity bias and zero gates, some gradients are exactly
+    zero or exactly cancel; the fused nodes keep those bits too."""
+    rng = np.random.default_rng(72)
+    params = init_params(n=4, c=4, gate_init=0.0)
+    for t in params.named().values():
+        t.data = t.data.astype(np.float32)
+    leaves = [Tensor(rng.standard_normal((2, 4, 4, 4, 4)).astype(np.float32),
+                     requires_grad=True),
+              Tensor(np.ones((1, 4, 1, 1, 1), np.float32), requires_grad=True),
+              Tensor(np.zeros((2, 4, 4, 4), np.float32), requires_grad=True)]
+    wts = rng.standard_normal((2, 4, 4, 4, 4)).astype(np.float32)
+    want = taped_step(compute_maps_ops, aot_update_ops, params, leaves, wts)
+    got = taped_step(compute_maps, aot_update, params, leaves, wts)
+    for g, v in zip(got[0] + got[1], want[0] + want[1]):
+        np.testing.assert_array_equal(g, v)
+
+
+def weighted_sum(out, seed):
+    w = np.random.default_rng(seed).standard_normal(out.shape)
+    return ad.tsum(out * Tensor(w))
+
+
+def test_pool_rms_gradient_matches_fd():
+    check_grad(lambda ts: weighted_sum(pool_rms(ts[0], ts[1]), 80),
+               [(2, 3, 4, 2, 3), (12,)], seed=81)
+
+
+@pytest.mark.parametrize("constraint,k", [(_simplex, 3), (_twice_sigmoid, 3),
+                                          (_reshaped((2, 3, 3)), 9)],
+                         ids=["a", "d", "t"])
+def test_gated_map_gradient_matches_fd(constraint, k):
+    check_grad(lambda ts: weighted_sum(gated_map(*ts, constraint), 82),
+               [(2, 12), (12, k), (), (k,)], seed=83)
+
+
+def test_contract_gradient_matches_fd():
+    check_grad(lambda ts: weighted_sum(contract(ts[0], ts[1]), 84),
+               [(2, 3, 4, 2, 3), (2, 3)], seed=85)
+
+
+def test_combine_gradient_matches_fd():
+    check_grad(lambda ts: weighted_sum(combine(*ts), 86),
+               [(2, 3, 4, 2, 3), (2, 3, 3), (2, 3), (2, 4, 2, 3)], seed=87)
+
+
+def test_adaptive_nodes_without_tape_record_nothing(monkeypatch):
+    """Untaped, the maps and the update equal the op-by-op graph's values,
+    record no node, and keep no backward closure, so none of its
+    intermediates outlive the call."""
+    rng = np.random.default_rng(88)
+    params = input_dependent_params(4, 8, np.float32, seed=89)
+    for t in params.named().values():
+        t.requires_grad = True
+    x = Tensor(rng.standard_normal((2, 4, 8, 4, 4)).astype(np.float32),
+               requires_grad=True)
+    want_maps = compute_maps_ops(x, params)
+    want = aot_update_ops(x, want_maps, lambda u: u * 2.0).data
+
+    closures = []
+    real_node = ad.node
+
+    def spy(value, backward_fn, *inputs):
+        closures.append(weakref.ref(backward_fn))
+        return real_node(value, backward_fn, *inputs)
+
+    def no_record(out, backward_fn):
+        raise AssertionError("a node was recorded")
+
+    monkeypatch.setattr(ad, "node", spy)
+    monkeypatch.setattr(ad, "record", no_record)
+    maps = compute_maps(x, params)
+    out = aot_update(x, maps, lambda u: u * 2.0)
+    gc.collect()
+    # pool_rms, three gated maps, contract, the sub-layer's mul, combine
+    assert len(closures) == 7
+    assert all(ref() is None for ref in closures)
+    for got, v in [(out, want), (maps.a, want_maps.a.data), (maps.d, want_maps.d.data),
+                   (maps.t, want_maps.t.data)]:
+        assert not got.requires_grad
+        np.testing.assert_array_equal(got.data, v)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_identity_maps_update_is_the_plain_stream_mean_residual(n):
+    """At a power-of-two stream count, the update through the constant maps
+    equals x + f(mean over streams of x) bit for bit, values and gradients."""
+    rng = np.random.default_rng(90 + n)
+    base = rng.standard_normal((2, n, 4, 4, 4)).astype(np.float32)
+    wts = rng.standard_normal(base.shape).astype(np.float32)
+
+    def run(update):
+        x = Tensor(base, requires_grad=True)
+        with Tape() as tape:
+            out = update(x, lambda u: u * u)
+            tape.backward(ad.tsum(out * Tensor(wts)))
+        return out.data, x.grad
+
+    got = run(lambda x, f: aot_update(x, identity_maps(x), f))
+    want = run(lambda x, f: x + ad.reshape(f(ad.tmean(x, axis=1)), (2, 1, 4, 4, 4)))
+    for g, v in zip(got, want):
+        np.testing.assert_array_equal(g, v)
 
 
 # ---------------------------------------------------------------------

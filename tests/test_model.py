@@ -554,20 +554,21 @@ def test_whole_model_gradient_bites_on_every_live_tensor():
 
 
 def test_desk_training_step_tape_budget():
-    """Each Sinkhorn projection and each GroupNorm is one tape node, and
-    each mixer enters and leaves the retained modes through one real-table
-    matmul each and applies each complex layer as one bmm with a block
-    weight built by three concats, so a desk-config forward plus loss
-    records 496 nodes (492 with complex tensors on the tape, 1360 with
-    Sinkhorn and GroupNorm unrolled too).  Node counts do not depend on
-    the batch size."""
+    """Each Sinkhorn projection and each GroupNorm is one tape node, the
+    adaptive path of a sub-layer records seven (pool_rms, three gated maps,
+    Sinkhorn, contract, combine), and each mixer enters and leaves the
+    retained modes through one real-table matmul each and applies each
+    complex layer as one bmm with a block weight built by three concats,
+    so a desk-config forward plus loss records 264 nodes (496 with the
+    adaptive path op by op, 1360 with Sinkhorn and GroupNorm unrolled
+    too).  Node counts do not depend on the batch size."""
     cfg = ModelConfig()
     model = Model(cfg, np.random.default_rng(0), dtype=np.float32)
     u = window(np.random.default_rng(1), cfg, b=2).astype(np.float32)
     with Tape() as tape:
         pred = model.forward(Tensor(u))
         denoising_loss(pred, Tensor(np.zeros_like(pred.data)))
-    assert len(tape) == 496
+    assert len(tape) == 264
 
 
 def store_all_backward(tape, root):

@@ -280,6 +280,16 @@ def test_adamw_nan_gradient_leaves_step_unapplied():
     assert opt.t == 0
 
 
+def test_adamw_wrong_gradient_size_leaves_step_unapplied():
+    opt, a, grads = nan_in_second_parameter()
+    grads["b"] = np.ones(4)
+    with pytest.raises(ShapeError):
+        opt.step(grads, lr=0.01)
+    np.testing.assert_array_equal(a.data, np.ones(3))
+    np.testing.assert_array_equal(opt.m["a"], np.zeros(3))
+    assert opt.t == 0
+
+
 def test_clipped_nan_gradient_names_the_culprit():
     opt, a, grads = nan_in_second_parameter()
     with pytest.raises(NumericOverflowError) as err:
@@ -298,6 +308,84 @@ def test_adamw_f32_moments_stay_f32():
     assert opt.m["p"].dtype == np.float32
     assert opt.v["p"].dtype == np.float32
     assert p.data.dtype == np.float32
+
+
+def three_params(dtype=np.float32, seed=16):
+    rng = np.random.default_rng(seed)
+    return {name: Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+            for name, shape in (("a", (3, 2)), ("b", ()), ("c", (4,)))}
+
+
+def random_grads(params, rng):
+    return {k: rng.standard_normal(p.shape).astype(p.dtype) for k, p in params.items()}
+
+
+def test_adamw_missing_or_none_gradient_steps_as_zero():
+    """A parameter left out of ``grads``, or given None, takes the same
+    step as under an exactly zero gradient: its moments decay and it
+    decays, bit for bit."""
+    rng = np.random.default_rng(17)
+    first = random_grads(three_params(), rng)
+    second = random_grads(three_params(), rng)
+    params, zeroed = three_params(), three_params()
+    opt = AdamW(params, weight_decay=0.01)
+    ref = AdamW(zeroed, weight_decay=0.01)
+    opt.step(first, lr=0.1)
+    ref.step(first, lr=0.1)
+    opt.step({"a": second["a"], "b": None}, lr=0.05)
+    ref.step({"a": second["a"], "b": np.zeros((), np.float32),
+              "c": np.zeros(4, np.float32)}, lr=0.05)
+    for name in params:
+        np.testing.assert_array_equal(params[name].data, zeroed[name].data)
+        np.testing.assert_array_equal(opt.m[name], ref.m[name])
+        np.testing.assert_array_equal(opt.v[name], ref.v[name])
+    assert params["c"].data.dtype == np.float32
+
+
+def test_adamw_resumed_from_state_blocks_matches_unbroken_run():
+    """Moments loaded with ``load_state_blocks`` are what ``opt.m`` and
+    ``opt.v`` read, and the next step matches an unbroken optimizer."""
+    rng = np.random.default_rng(18)
+    grads = [random_grads(three_params(), rng) for _ in range(3)]
+    params = three_params()
+    opt = AdamW(params, weight_decay=0.01)
+    for g in grads[:2]:
+        opt.step(g, lr=0.1)
+    blocks = {k: v.copy() for k, v in opt.state_blocks().items()}
+    resumed = three_params(seed=19)
+    for name, p in resumed.items():
+        p.data = params[name].data.copy()
+    opt2 = AdamW(resumed, weight_decay=0.01)
+    opt2.load_state_blocks(blocks, t=2)
+    for name in params:
+        np.testing.assert_array_equal(opt2.m[name], blocks[f"{name}.m"])
+        np.testing.assert_array_equal(opt2.v[name], blocks[f"{name}.v"])
+    opt.step(grads[2], lr=0.1)
+    opt2.step(grads[2], lr=0.1)
+    for name in params:
+        np.testing.assert_array_equal(resumed[name].data, params[name].data)
+        np.testing.assert_array_equal(opt2.m[name], opt.m[name])
+        np.testing.assert_array_equal(opt2.v[name], opt.v[name])
+
+
+def test_adamw_steps_a_rebound_parameter():
+    """A parameter whose ``data`` is rebound between steps, as checkpoint
+    loading does, is updated from the rebound value; the moments a caller
+    holds are the ones the step updates."""
+    rng = np.random.default_rng(20)
+    params = three_params()
+    opt = AdamW(params, weight_decay=0.01)
+    opt.step(random_grads(params, rng), lr=0.1)
+    held_m = opt.m["a"]
+    rebound = rng.standard_normal((3, 2)).astype(np.float32)
+    params["a"].data = rebound.copy()
+    opt.step(random_grads(params, rng), lr=0.1)
+    np.testing.assert_array_equal(held_m, opt.m["a"])
+    np.testing.assert_array_equal(opt.state_blocks()["a.m"], opt.m["a"])
+    m_hat = opt.m["a"] / (1.0 - 0.9 ** 2)
+    v_hat = opt.v["a"] / (1.0 - 0.9 ** 2)
+    want = rebound - 0.1 * 0.01 * rebound - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
+    np.testing.assert_array_equal(params["a"].data, want)
 
 
 # ---------------------------------------------------------------------

@@ -25,8 +25,21 @@ nodes: a Sinkhorn sweep's column term with a flipped sign, one sweep too
 few replayed, the sweep input and the row-normalized matrix swapped; a
 GroupNorm backward that drops one of the two variance terms, sums its
 broadcast without the C-ordered copy, or flips the sign of the mean term.
-The mutant of ``model.py`` runs a window of another dtype without casting
-it to the model's precision.  For each mutant the repository is copied to
+The others in ``blocks.py`` break the fused adaptive nodes: a dropped
+term or gradient into the pooled vector, a flipped sign in the simplex
+term, a lost factor 2 in ``d``, the maps recorded in another order (which
+changes the order of the sum into the pooled vector), the factors of the
+contraction's or the scatter's two gradients swapped, a sum that lets
+numpy reuse a temporary as its output (which changes the output's
+layout), T untransposed in the stream mix's gradient, and non-uniform
+constant maps.  The mutants of
+``train.py`` break the flat optimizer: no bias correction, a flipped decay
+sign, a moment written to a copy instead of the buffer, a missing
+gradient taken as ones, an update never bound to the parameters, loaded
+moments that replace the views instead of filling them, and a clip-norm
+segment one element short.  One more in ``autodiff.py`` keeps strided
+gradients uncopied in ``Tape.backward``.  The mutant of ``model.py`` runs
+a window of another dtype without casting it to the model's precision.  For each mutant the repository is copied to
 a temporary directory, the mutant is applied there, and the suite runs::
 
     python -m pytest -x -q tests bench/tests --deselect tests/test_acceptance.py
@@ -52,6 +65,7 @@ AUTODIFF = os.path.join("src", "aotlab", "autodiff.py")
 SINKHORN = os.path.join("src", "aotlab", "sinkhorn.py")
 BLOCKS = os.path.join("src", "aotlab", "blocks.py")
 MODEL = os.path.join("src", "aotlab", "model.py")
+TRAIN = os.path.join("src", "aotlab", "train.py")
 COMMAND = [sys.executable, "-m", "pytest", "-x", "-q", "tests", "bench/tests",
            "--deselect", "tests/test_acceptance.py"]
 IGNORE = shutil.ignore_patterns(".git", "bench_runs", "__pycache__",
@@ -109,7 +123,9 @@ MUTANTS = {AUTODIFF: [
     ("_unbroadcast: reduced grad sign",
      "keepdims=True)\n    return g\n", "keepdims=True)\n    return -g\n"),
     ("Tape.backward: overwrite in the pass",
-     "if held is None else held + g", "if held is None else g"),
+     "store[t] = held + g", "store[t] = g"),
+    ("Tape.backward: keeps strided gradients uncopied",
+     "elif g.dtype == t.data.dtype and g.flags.c_contiguous:", "elif True:"),
     ("Tape.backward: overwrite across calls",
      "t.grad = g if t.grad is None else t.grad + g", "t.grad = g"),
     ("Module.named: nested modules skipped",
@@ -130,7 +146,8 @@ MUTANTS = {AUTODIFF: [
     ("concat: keeps only the first input", "return node(data, bwd, *tensors)",
      "return node(data, bwd, tensors[0])"),
 ], SINKHORN: [
-    ("sinkhorn: column term sign", "g = g / cols + g_cols", "g = g / cols - g_cols"),
+    ("sinkhorn: column term sign", "g = g / cols - (g * m_rows",
+     "g = g / cols + (g * m_rows"),
     ("sinkhorn: one sweep too few replayed",
      "zip(reversed(ins), reversed(steps))",
      "zip(reversed(ins[1:]), reversed(steps[1:]))"),
@@ -144,6 +161,48 @@ MUTANTS = {AUTODIFF: [
     ("GroupNorm: g_mean sign", "g_mean = ad._unbroadcast(-g_centered",
      "g_mean = ad._unbroadcast(g_centered"),
     ("GroupNorm: drops input shift", "bwd, x, scale, shift)", "bwd, x, scale)"),
+    ("pool_rms: drops one factor of vec * vec", "g_vr * r + g_sq + g_sq",
+     "g_vr * r + g_sq"),
+    ("gated_map: drops the gradient into vec",
+     "acc(vec, g_mm @ pd.swapaxes(-1, -2))", "pass"),
+    ("gated_map: flipped sign of the simplex normalizer term",
+     "(-g * s / (total * total))", "(g * s / (total * total))"),
+    ("gated_map: lost factor 2 in d", "lambda g: g * 2.0 * (s * (1.0 - s))",
+     "lambda g: g * (s * (1.0 - s))"),
+    ("compute_maps: T before a, so vec sums a, d, T",
+     "    a = gated_map(vec, params.phi_a, params.alpha_a, params.b_a, _simplex)\n"
+     "    d = gated_map(vec, params.phi_d, params.alpha_d, params.b_d, _twice_sigmoid)\n"
+     "    raw_t = gated_map(vec, params.phi_t, params.alpha_t, params.b_t,\n"
+     "                      _reshaped((b, n, n)))\n",
+     "    raw_t = gated_map(vec, params.phi_t, params.alpha_t, params.b_t,\n"
+     "                      _reshaped((b, n, n)))\n"
+     "    d = gated_map(vec, params.phi_d, params.alpha_d, params.b_d, _twice_sigmoid)\n"
+     "    a = gated_map(vec, params.phi_a, params.alpha_a, params.b_a, _simplex)\n"),
+    ("contract: gradients into x and a swap factors",
+     "acc(x, g_xa * ar)\n        acc(a, (g_xa * xd)",
+     "acc(x, g_xa * xd)\n        acc(a, (g_xa * ar)"),
+    ("combine: scatter gradients into d and y swap factors",
+     "acc(d, (g * yr).sum(axis=(2, 3, 4)))\n        acc(y, (g * dr).sum(axis=1))",
+     "acc(d, (g * dr).sum(axis=(2, 3, 4)))\n        acc(y, (g * yr).sum(axis=1))"),
+    ("combine: sum left to reuse a temporary",
+     "return ad.node(mixed + scattered,", "return ad.node(mixed + dr * yr,"),
+    ("combine: T untransposed in the gradient into x",
+     "(td.swapaxes(-1, -2) @ g_mixed)", "(td @ g_mixed)"),
+    ("identity_maps: a off the stream mean", "np.full((b, n), 1.0 / n,",
+     "np.full((b, n), 1.0 / (n + 1),"),
+], TRAIN: [
+    ("AdamW: no bias correction", "m_hat = m / (1.0 - b1 ** self.t)", "m_hat = m"),
+    ("AdamW: decay sign flipped", "p = (p - lr * self.weight_decay * p",
+     "p = (p + lr * self.weight_decay * p"),
+    ("AdamW: first moment written to a copy", "m *= b1", "m = m * b1"),
+    ("AdamW: a missing gradient taken as ones", "np.zeros(hi - lo, dtype) if",
+     "np.ones(hi - lo, dtype) if"),
+    ("AdamW: the update not bound to the parameters",
+     "                self.params[k].data = view\n", "                pass\n"),
+    ("AdamW: loaded moments replace the views", "store[name][...] = _checked_array(",
+     "store[name] = _checked_array("),
+    ("clip_gradients: each segment one short", "sq[lo:hi].sum()",
+     "sq[lo:hi - 1].sum()"),
 ], MODEL: [
     ("Model: window not cast to the model's dtype",
      "Tensor(u.data if isinstance(u, Tensor) else u, dtype=self.dtype)",
