@@ -110,7 +110,11 @@ class GroupNorm(Module):
             # the tape stores this broadcast as a C-ordered copy; its layout
             # fixes the order of the summation into g_mean below
             g_sq = np.broadcast_to(g_var * inv_count, centered.shape).copy() * centered
-            g_centered = gy * r + g_sq + g_sq
+            # Named, gy * r is no temporary numpy may reuse as the sum's
+            # output: that would give the sum gy's layout (channels last
+            # after the MLP), not the layout of the op-by-op add.
+            gy_r = gy * r
+            g_centered = gy_r + g_sq + g_sq
             g_mean = ad._unbroadcast(-g_centered, r.shape) * inv_count
             acc(x, (g_centered + g_mean).reshape((b, c, h, w)))
 

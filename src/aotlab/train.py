@@ -133,110 +133,96 @@ def _check_finite(grads: dict) -> None:
                 f"non-finite gradient for parameter {name}", where=name)
 
 
-def _segments(sizes) -> list:
-    """(start, stop) of each of ``sizes`` laid end to end in one buffer."""
-    stops = np.cumsum(sizes).tolist()
-    return list(zip([0] + stops[:-1], stops))
+def clip_gradients(grads: dict, max_norm: float) -> tuple[float, float]:
+    """The factor that scales all gradients jointly to a global L2 norm of
+    at most max_norm (exactly 1.0 within it), and that norm.
 
-
-def clip_gradients(grads: dict, max_norm: float) -> tuple[dict, float]:
-    """Scale all gradients jointly so the global L2 norm is at most max_norm.
-
-    The gradients are squared once, in float64, as one flat buffer; the
-    norm adds up one sum per gradient's segment, in name order, which has
-    the bits of summing each gradient on its own.  A non-finite
-    gradient raises before anything is scaled, naming it.
+    Each gradient is squared in float64 and summed on its own, in its own
+    memory order, and the sums are added in name order.  A None gradient
+    counts as zero; a non-finite one raises, naming it.
     """
-    flat = np.concatenate([g.ravel(order="K") for g in grads.values()] or [np.zeros(0)],
-                          dtype=np.float64)
-    segments = _segments([g.size for g in grads.values()])
-
-    def sum_sq(values):
-        sq = values * values
-        return sum(float(sq[lo:hi].sum()) for lo, hi in segments)
-
+    present = [g for g in grads.values() if g is not None]
     with np.errstate(over="ignore"):
-        total_sq = sum_sq(flat)
+        total_sq = sum(float(np.sum(g.astype(np.float64) ** 2)) for g in present)
     if math.isfinite(total_sq):
         total = math.sqrt(total_sq)
     else:
         _check_finite(grads)
         # finite gradients whose squares overflow: rescale by the largest |g|
-        peak = float(np.max(np.abs(flat), initial=0.0))
-        total = peak * math.sqrt(sum_sq(flat / peak))
+        peak = max(float(np.max(np.abs(g), initial=0.0)) for g in present)
+        total = peak * math.sqrt(sum(
+            float(np.sum((g.astype(np.float64) / peak) ** 2)) for g in present))
     if total <= max_norm or total == 0.0:
-        return grads, total
-    factor = max_norm / total
-    return {k: g * np.asarray(factor, dtype=g.dtype) for k, g in grads.items()}, total
+        return 1.0, total
+    return max_norm / total, total
 
 
 class AdamW:
     """Adam with decoupled weight decay and bias correction.
 
-    The parameters of one dtype share one flat buffer for each moment, in
-    name order; ``m[name]`` and ``v[name]`` are views into them, updated in
-    place.  A step gathers each dtype's gradients, cast to it, and the
+    The parameters, all of one dtype, are laid out once in name order: one
+    flat buffer for each moment, of which ``m[name]`` and ``v[name]`` are
+    views updated in place.  A step gathers the gradients and the
     parameters' current ``data`` into flat arrays, updates them with
     whole-buffer operations, and rebinds every parameter's ``data`` to its
-    segment of the result.
+    view of the result.
     """
 
     def __init__(self, params: dict, betas=(0.9, 0.9), eps: float = 1e-8,
                  weight_decay: float = 0.0):
         self.params = dict(params)
+        dtypes = {t.data.dtype for t in self.params.values()}
+        if len(dtypes) != 1:
+            raise ValueError(f"AdamW needs parameters of one dtype, "
+                             f"got {sorted(map(str, dtypes))}")
+        self.dtype = dtypes.pop()
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m, self.v = {}, {}
-        by_dtype: dict = {}
-        for name, p in self.params.items():
-            by_dtype.setdefault(p.data.dtype, []).append(name)
-        self._groups = []    # (dtype, names, segments, m, v) per dtype
-        for dtype, names in by_dtype.items():
-            segments = _segments([self.params[k].data.size for k in names])
-            m, v = np.zeros(segments[-1][1], dtype), np.zeros(segments[-1][1], dtype)
-            self.m.update(zip(names, self._split(m, names, segments)))
-            self.v.update(zip(names, self._split(v, names, segments)))
-            self._groups.append((dtype, names, segments, m, v))
+        self._m = np.zeros(sum(t.data.size for t in self.params.values()), self.dtype)
+        self._v = np.zeros_like(self._m)
+        self.m, self.v = self._views(self._m), self._views(self._v)
 
-    def _split(self, flat: np.ndarray, names: list, segments: list) -> list:
-        return [flat[lo:hi].reshape(self.params[k].data.shape)
-                for k, (lo, hi) in zip(names, segments)]
+    def _views(self, flat: np.ndarray) -> dict:
+        """``flat`` cut into one view per parameter, in its shape."""
+        views, lo = {}, 0
+        for name, t in self.params.items():
+            views[name] = flat[lo:lo + t.data.size].reshape(t.data.shape)
+            lo += t.data.size
+        return views
 
-    def step(self, grads: dict, lr: float) -> None:
-        """Apply one update; a non-finite gradient raises before any change."""
-        flat_grads = []
-        for dtype, names, segments, *_ in self._groups:
-            g = np.concatenate([np.zeros(hi - lo, dtype) if grads.get(k) is None
-                                else grads[k].ravel()
-                                for k, (lo, hi) in zip(names, segments)], dtype=dtype)
-            if g.size != segments[-1][1]:
-                raise ShapeError("gradient sizes do not match the parameters'")
-            if not np.isfinite(g).all():
-                _check_finite({name: grads.get(name) for name in self.params})
-            flat_grads.append(g)
+    def step(self, grads: dict, lr: float, scale: float = 1.0) -> None:
+        """Apply one update with every gradient times ``scale``; a missing
+        or None gradient counts as zero, and a wrong-size gradient or one not
+        finite in the parameters' dtype raises before any change."""
+        g = np.concatenate([np.zeros(t.data.size, self.dtype) if grads.get(k) is None
+                            else grads[k].ravel() for k, t in self.params.items()],
+                           dtype=self.dtype)
+        if g.size != self._m.size:
+            raise ShapeError("gradient sizes do not match the parameters'")
+        if not np.isfinite(g).all():
+            _check_finite(self._views(g))
+        g *= self.dtype.type(scale)
         self.t += 1
         b1, b2 = self.betas
-        for (dtype, names, segments, m, v), g in zip(self._groups, flat_grads):
-            p = np.concatenate([self.params[k].data.ravel() for k in names], dtype=dtype)
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            m_hat = m / (1.0 - b1 ** self.t)
-            v_hat = v / (1.0 - b2 ** self.t)
-            p = (p - lr * self.weight_decay * p
-                 - lr * m_hat / (np.sqrt(v_hat) + self.eps))
-            for k, view in zip(names, self._split(p, names, segments)):
-                self.params[k].data = view
+        m, v = self._m, self._v
+        p = np.concatenate([t.data.ravel() for t in self.params.values()],
+                           dtype=self.dtype)
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        m_hat = m / (1.0 - b1 ** self.t)
+        v_hat = v / (1.0 - b2 ** self.t)
+        p = (p - lr * self.weight_decay * p
+             - lr * m_hat / (np.sqrt(v_hat) + self.eps))
+        for k, view in self._views(p).items():
+            self.params[k].data = view
 
     def state_blocks(self) -> dict:
-        out = {}
-        for name in self.params:
-            out[f"{name}.m"] = self.m[name]
-            out[f"{name}.v"] = self.v[name]
-        return out
+        return {f"{name}.{kind}": store[name] for name in self.params
+                for kind, store in (("m", self.m), ("v", self.v))}
 
     def load_state_blocks(self, blocks: dict, t: int) -> None:
         for name, p in self.params.items():
@@ -436,11 +422,10 @@ def train(model, train_ds: TrajectoryDataset, plan: SamplingPlan,
                 p.grad = None
             tape.backward(loss)
             grads = {k: p.grad for k, p in params.items()}
+            scale = 1.0
             if cfg.clip_norm is not None:
-                grads, _ = clip_gradients(
-                    {k: g for k, g in grads.items() if g is not None},
-                    cfg.clip_norm)
-            opt.step(grads, lr)
+                scale, _ = clip_gradients(grads, cfg.clip_norm)
+            opt.step(grads, lr, scale)
             result.step = global_step + 1
             loss_val = float(loss.data)
             result.loss_trace.append(loss_val)

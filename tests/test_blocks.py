@@ -123,17 +123,25 @@ def taped_norm(norm, gn, base, w, channels_last):
     return y.data, base.grad, gn.scale.grad, gn.shift.grad, nodes
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype, wide", [
+    pytest.param(np.float32, False, id="float32"),
+    pytest.param(np.float64, False, id="float64"),
+    pytest.param(np.float32, True, id="float32-wide"),
+    pytest.param(np.float64, True, id="float64-wide")])
 @pytest.mark.parametrize("channels_last", [False, True])
 @pytest.mark.parametrize("frozen", [False, True])
 def test_group_norm_fused_node_is_bit_identical_to_op_by_op_tape(
-        dtype, channels_last, frozen):
+        dtype, wide, channels_last, frozen):
+    """``wide`` runs the channel MLP's 64 channels in 8 groups at a batch
+    whose arrays exceed 256 KiB: from that size numpy may reuse a
+    temporary as an operation's output, which can change its layout."""
     rng = np.random.default_rng(7)
-    gn = GroupNorm(16, 4, Tensor(rng.standard_normal(16).astype(dtype),
-                                 requires_grad=not frozen),
-                   Tensor(rng.standard_normal(16).astype(dtype),
+    b, c, groups = (96 if dtype == np.float32 else 48, 64, 8) if wide else (3, 16, 4)
+    gn = GroupNorm(c, groups, Tensor(rng.standard_normal(c).astype(dtype),
+                                     requires_grad=not frozen),
+                   Tensor(rng.standard_normal(c).astype(dtype),
                           requires_grad=not frozen))
-    shape = (3, 4, 4, 16) if channels_last else (3, 16, 4, 4)
+    shape = (b, 4, 4, c) if channels_last else (b, c, 4, 4)
     base = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
     w = rng.standard_normal(shape).astype(dtype)
     want = taped_norm(group_norm_ops, gn, base, w, channels_last)
@@ -142,7 +150,7 @@ def test_group_norm_fused_node_is_bit_identical_to_op_by_op_tape(
         if frozen and v is None:
             assert g is None
             continue
-        assert g.dtype == dtype
+        assert g.dtype == dtype and g.strides == v.strides
         np.testing.assert_array_equal(g, v)
     assert (got[4], want[4]) == (1, 13 if frozen else 15)
 

@@ -310,6 +310,20 @@ def test_spectral_norm_identity_and_uniform():
     assert abs(spectral_norm_bound_check(uniform) - 1.0) < 1e-10
 
 
+def test_spectral_norm_of_zero_and_of_an_unconverged_iteration():
+    """A zero matrix has norm 0; a run that stops before converging
+    returns its last estimate, a lower bound on the largest singular value."""
+    assert spectral_norm_bound_check(DoublyStochastic(np.zeros((3, 3)), 0, 1.0)) == 0.0
+    a = np.random.default_rng(231).uniform(0.0, 1.0, (4, 4))
+    m = DoublyStochastic(a, 0, ds_residual(a))
+    v = a.T @ (a @ np.full(4, 0.5))
+    v = v / np.linalg.norm(v)
+    top = np.linalg.svd(a, compute_uv=False)[0]
+    one_step = spectral_norm_bound_check(m, steps=1)
+    assert one_step == float(np.linalg.norm(a @ v)) and one_step <= top
+    assert abs(spectral_norm_bound_check(m) - top) < 1e-8
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_spectral_norm_bound_and_svd_agreement(seed):
     rng = np.random.default_rng(200 + seed)

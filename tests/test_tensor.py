@@ -414,6 +414,24 @@ def test_nested_tapes_are_independent():
     np.testing.assert_allclose(x.grad, 3.0)
 
 
+def test_tape_exited_out_of_order_raises():
+    outer, inner = Tape(), Tape()
+    with pytest.raises(RuntimeError, match="not innermost"):
+        outer.__exit__(None, None, None)
+    with outer:
+        with inner:
+            with pytest.raises(RuntimeError, match="not innermost"):
+                outer.__exit__(None, None, None)
+            assert ad.active_tape() is inner
+    assert ad.active_tape() is None
+
+
+def test_repr_names_shape_dtype_and_grad_flag():
+    assert repr(Tensor(np.ones((2, 3), np.float32))) == "Tensor(shape=(2, 3), dtype=float32)"
+    assert (repr(Tensor(np.ones(2), requires_grad=True))
+            == "Tensor(shape=(2,), dtype=float64, requires_grad=True)")
+
+
 def test_python_scalars_do_not_promote_f32():
     t = Tensor(np.ones(3, np.float32), requires_grad=True)
     assert (2.0 * t).dtype == np.float32

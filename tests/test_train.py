@@ -169,33 +169,50 @@ def test_one_cycle_validation():
 # ---------------------------------------------------------------------
 
 def test_clip_below_threshold_untouched():
-    g = {"a": np.array([0.3, 0.4])}
-    out, norm = clip_gradients(g, 1.0)
-    assert out["a"] is g["a"]
+    factor, norm = clip_gradients({"a": np.array([0.3, 0.4])}, 1.0)
+    assert factor == 1.0
     np.testing.assert_allclose(norm, 0.5)
 
 
 def test_clip_scales_to_exact_norm():
+    """The factor, applied by the optimizer, brings the global norm to
+    max_norm and keeps the ratio between tensors."""
     g = {"a": np.full(4, 3.0), "b": np.full(4, 4.0)}
-    out, norm = clip_gradients(g, 1.0)
+    factor, norm = clip_gradients(g, 1.0)
     np.testing.assert_allclose(norm, 10.0)
-    total = np.sqrt(sum(np.sum(v ** 2) for v in out.values()))
+    opt = AdamW({k: Tensor(np.zeros(4), requires_grad=True) for k in g}, betas=(0.5, 0.5))
+    opt.step(g, lr=0.1, scale=factor)
+    seen = {k: opt.m[k] / 0.5 for k in g}  # a first step's m is (1 - b1) * g
+    total = np.sqrt(sum(np.sum(v ** 2) for v in seen.values()))
     np.testing.assert_allclose(total, 1.0, rtol=1e-12)
-    np.testing.assert_allclose(out["a"] / out["b"], 0.75)
+    np.testing.assert_allclose(seen["a"] / seen["b"], 0.75)
 
 
 def test_clip_preserves_dtype_and_zero():
-    g = {"a": np.zeros(3, dtype=np.float32)}
-    out, norm = clip_gradients(g, 1.0)
-    assert norm == 0.0 and out["a"].dtype == np.float32
+    factor, norm = clip_gradients({"a": np.zeros(3, dtype=np.float32)}, 1.0)
+    assert norm == 0.0 and factor == 1.0
     big = {"a": np.full(3, 9.0, dtype=np.float32)}
-    assert clip_gradients(big, 1.0)[0]["a"].dtype == np.float32
+    factor, _ = clip_gradients(big, 1.0)
+    p = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    opt = AdamW({"a": p})
+    opt.step(big, lr=0.1, scale=factor)
+    assert opt.m["a"].dtype == np.float32 and p.data.dtype == np.float32
+    # the scale is one float32 multiply of the gradient
+    np.testing.assert_array_equal(opt.m["a"], (1.0 - 0.9) * (big["a"] * np.float32(factor)))
 
 
 def test_clip_finite_gradients_whose_squares_overflow():
-    out, norm = clip_gradients({"a": np.array([1e200, 1.0])}, 1.0)
+    g = np.array([1e200, 1.0])
+    factor, norm = clip_gradients({"a": g}, 1.0)
     np.testing.assert_allclose(norm, 1e200, rtol=1e-12)
-    np.testing.assert_allclose(out["a"], [1.0, 1e-200], rtol=1e-12)
+    np.testing.assert_allclose(g * factor, [1.0, 1e-200], rtol=1e-12)
+
+
+def test_clip_counts_a_none_gradient_as_zero():
+    factor, norm = clip_gradients({"a": np.array([3.0, 4.0]), "b": None}, 1.0)
+    assert (factor, norm) == (0.2, 5.0)
+    _, norm = clip_gradients({"a": None, "b": np.array([1e200, 1.0])}, 1.0)
+    np.testing.assert_allclose(norm, 1e200, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------
@@ -293,11 +310,42 @@ def test_adamw_wrong_gradient_size_leaves_step_unapplied():
 def test_clipped_nan_gradient_names_the_culprit():
     opt, a, grads = nan_in_second_parameter()
     with pytest.raises(NumericOverflowError) as err:
-        clipped, _ = clip_gradients(grads, 1.0)
-        opt.step(clipped, lr=0.01)
+        scale, _ = clip_gradients(grads, 1.0)
+        opt.step(grads, lr=0.01, scale=scale)
     assert err.value.where == "b"
     assert "parameter b" in str(err.value)
     np.testing.assert_array_equal(a.data, np.ones(3))
+    assert opt.t == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gradient_is_named_by_clip_and_by_a_scaled_step(bad):
+    """Each of the two calls names the culprit on its own, also when the
+    other gradients' squares overflow; a step with a scale applies nothing."""
+    opt, a, grads = nan_in_second_parameter()
+    grads["a"] = np.array([1e200, 1.0, 1.0])
+    grads["b"][1] = bad
+    with pytest.raises(NumericOverflowError) as err:
+        clip_gradients(grads, 1.0)
+    assert err.value.where == "b"
+    with pytest.raises(NumericOverflowError) as err:
+        opt.step(grads, lr=0.01, scale=0.5)
+    assert err.value.where == "b"
+    np.testing.assert_array_equal(a.data, np.ones(3))
+    np.testing.assert_array_equal(opt.m["a"], np.zeros(3))
+    assert opt.t == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+def test_adamw_gradient_that_overflows_the_parameter_dtype_is_named():
+    """A finite float64 gradient past float32's range is inf once cast to
+    the parameters' dtype; the step names it and applies nothing."""
+    p = Tensor(np.ones(2, np.float32), requires_grad=True)
+    opt = AdamW({"p": p})
+    with pytest.raises(NumericOverflowError) as err:
+        opt.step({"p": np.array([1e39, 1.0])}, lr=0.1)
+    assert err.value.where == "p"
+    np.testing.assert_array_equal(p.data, np.ones(2, np.float32))
     assert opt.t == 0
 
 
@@ -308,6 +356,15 @@ def test_adamw_f32_moments_stay_f32():
     assert opt.m["p"].dtype == np.float32
     assert opt.v["p"].dtype == np.float32
     assert p.data.dtype == np.float32
+
+
+def test_adamw_refuses_mixed_or_empty_parameters():
+    mixed = {"a": Tensor(np.ones(2, np.float32), requires_grad=True),
+             "b": Tensor(np.ones(2, np.float64), requires_grad=True)}
+    with pytest.raises(ValueError, match="one dtype"):
+        AdamW(mixed)
+    with pytest.raises(ValueError, match="one dtype"):
+        AdamW({})
 
 
 def three_params(dtype=np.float32, seed=16):
@@ -340,6 +397,24 @@ def test_adamw_missing_or_none_gradient_steps_as_zero():
         np.testing.assert_array_equal(opt.m[name], ref.m[name])
         np.testing.assert_array_equal(opt.v[name], ref.v[name])
     assert params["c"].data.dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adamw_scale_equals_scaled_gradients(dtype):
+    """``step(g, lr, f)`` is ``step({k: g[k] * f}, lr)`` bit for bit: the
+    scale multiplies the gradients before the moments see them."""
+    rng = np.random.default_rng(21)
+    params, ref_params = three_params(dtype), three_params(dtype)
+    opt = AdamW(params, weight_decay=0.01)
+    ref = AdamW(ref_params, weight_decay=0.01)
+    for f in (0.3, 1.0, 2e-6):
+        g = random_grads(params, rng)
+        opt.step(g, lr=0.1, scale=f)
+        ref.step({k: v * f for k, v in g.items()}, lr=0.1)
+        for name in params:
+            np.testing.assert_array_equal(params[name].data, ref_params[name].data)
+            np.testing.assert_array_equal(opt.m[name], ref.m[name])
+            np.testing.assert_array_equal(opt.v[name], ref.v[name])
 
 
 def test_adamw_resumed_from_state_blocks_matches_unbroken_run():

@@ -24,7 +24,8 @@ list without their index.  The mutants of
 nodes: a Sinkhorn sweep's column term with a flipped sign, one sweep too
 few replayed, the sweep input and the row-normalized matrix swapped; a
 GroupNorm backward that drops one of the two variance terms, sums its
-broadcast without the C-ordered copy, or flips the sign of the mean term.
+broadcast without the C-ordered copy, lets numpy reuse a temporary as a
+sum's output, or flips the sign of the mean term.
 The others in ``blocks.py`` break the fused adaptive nodes: a dropped
 term or gradient into the pooled vector, a flipped sign in the simplex
 term, a lost factor 2 in ``d``, the maps recorded in another order (which
@@ -33,11 +34,13 @@ contraction's or the scatter's two gradients swapped, a sum that lets
 numpy reuse a temporary as its output (which changes the output's
 layout), T untransposed in the stream mix's gradient, and non-uniform
 constant maps.  The mutants of
-``train.py`` break the flat optimizer: no bias correction, a flipped decay
-sign, a moment written to a copy instead of the buffer, a missing
-gradient taken as ones, an update never bound to the parameters, loaded
-moments that replace the views instead of filling them, and a clip-norm
-segment one element short.  One more in ``autodiff.py`` keeps strided
+``train.py`` break the flat optimizer and the clip: no bias correction, a
+flipped decay sign, a moment written to a copy instead of the buffer, a
+missing gradient taken as ones, the clip's scale not applied or applied
+only after the moments, parameters of mixed dtypes accepted, an update
+never bound to the parameters, loaded moments that replace the views
+instead of filling them, a clip-norm sum one element short, and a None
+gradient counted in the norm as ones.  One more in ``autodiff.py`` keeps strided
 gradients uncopied in ``Tape.backward``.  The mutant of ``model.py`` runs
 a window of another dtype without casting it to the model's precision.  For each mutant the repository is copied to
 a temporary directory, the mutant is applied there, and the suite runs::
@@ -154,8 +157,10 @@ MUTANTS = {AUTODIFF: [
     ("sinkhorn: m_in and m_rows swapped",
      "for m_in, (rows, m_rows, cols, _) in", "for m_rows, (rows, m_in, cols, _) in"),
 ], BLOCKS: [
-    ("GroupNorm: drops one g_sq term", "g_centered = gy * r + g_sq + g_sq",
-     "g_centered = gy * r + g_sq"),
+    ("GroupNorm: drops one g_sq term", "g_centered = gy_r + g_sq + g_sq",
+     "g_centered = gy_r + g_sq"),
+    ("GroupNorm: sum left to reuse a temporary", "g_centered = gy_r + g_sq + g_sq",
+     "g_centered = gy * r + g_sq + g_sq"),
     ("GroupNorm: no C-order copy", "centered.shape).copy() * centered",
      "centered.shape) * centered"),
     ("GroupNorm: g_mean sign", "g_mean = ad._unbroadcast(-g_centered",
@@ -195,14 +200,41 @@ MUTANTS = {AUTODIFF: [
     ("AdamW: decay sign flipped", "p = (p - lr * self.weight_decay * p",
      "p = (p + lr * self.weight_decay * p"),
     ("AdamW: first moment written to a copy", "m *= b1", "m = m * b1"),
-    ("AdamW: a missing gradient taken as ones", "np.zeros(hi - lo, dtype) if",
-     "np.ones(hi - lo, dtype) if"),
+    ("AdamW: a missing gradient taken as ones", "np.zeros(t.data.size, self.dtype) if",
+     "np.ones(t.data.size, self.dtype) if"),
+    ("AdamW: scale not applied", "        g *= self.dtype.type(scale)\n", ""),
+    ("AdamW: scale applied after the moments",
+     "        g *= self.dtype.type(scale)\n"
+     "        self.t += 1\n"
+     "        b1, b2 = self.betas\n"
+     "        m, v = self._m, self._v\n"
+     "        p = np.concatenate([t.data.ravel() for t in self.params.values()],\n"
+     "                           dtype=self.dtype)\n"
+     "        m *= b1\n"
+     "        m += (1.0 - b1) * g\n"
+     "        v *= b2\n"
+     "        v += (1.0 - b2) * (g * g)\n",
+     "        self.t += 1\n"
+     "        b1, b2 = self.betas\n"
+     "        m, v = self._m, self._v\n"
+     "        p = np.concatenate([t.data.ravel() for t in self.params.values()],\n"
+     "                           dtype=self.dtype)\n"
+     "        m *= b1\n"
+     "        m += (1.0 - b1) * g\n"
+     "        v *= b2\n"
+     "        v += (1.0 - b2) * (g * g)\n"
+     "        g *= self.dtype.type(scale)\n"),
+    ("AdamW: a mixed-dtype set accepted", "if len(dtypes) != 1:", "if not dtypes:"),
     ("AdamW: the update not bound to the parameters",
-     "                self.params[k].data = view\n", "                pass\n"),
+     "            self.params[k].data = view\n", "            pass\n"),
     ("AdamW: loaded moments replace the views", "store[name][...] = _checked_array(",
      "store[name] = _checked_array("),
-    ("clip_gradients: each segment one short", "sq[lo:hi].sum()",
-     "sq[lo:hi - 1].sum()"),
+    ("clip_gradients: each sum one element short",
+     "total_sq = sum(float(np.sum(g.astype(np.float64) ** 2))",
+     "total_sq = sum(float(np.sum(g.astype(np.float64).ravel()[1:] ** 2))"),
+    ("clip_gradients: a None gradient counted as ones",
+     "present = [g for g in grads.values() if g is not None]",
+     "present = [np.ones(1) if g is None else g for g in grads.values()]"),
 ], MODEL: [
     ("Model: window not cast to the model's dtype",
      "Tensor(u.data if isinstance(u, Tensor) else u, dtype=self.dtype)",
