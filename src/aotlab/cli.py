@@ -87,8 +87,6 @@ def _fresh_model(cfg: RunConfig, args: argparse.Namespace) -> Model:
 
 
 def _loaded_model(cfg: RunConfig, args: argparse.Namespace) -> Model:
-    if not args.checkpoint:
-        raise UsageError("this command needs --checkpoint")
     model = _fresh_model(cfg, args)
     load_model_state(model, args.checkpoint)
     return model
@@ -112,21 +110,27 @@ def _checked_configs(cfg: RunConfig) -> tuple[ModelConfig, TrainConfig]:
         raise UsageError(f"bad config: {exc}") from exc
 
 
-def _check_flags(args: argparse.Namespace) -> None:
-    """Check the command flags that RunConfig does not hold, before the
-    command writes anything."""
-    if args.command == "train" and args.mode == "frozen" and not args.transform_from:
+def _check_flags(cfg: RunConfig, args: argparse.Namespace) -> None:
+    """Check the command flags that RunConfig does not hold, and that the
+    files the command reads are named, before the command writes anything."""
+    command = args.command
+    if command == "train" and args.mode == "frozen" and not args.transform_from:
         raise UsageError("--mode frozen requires --transform-from CHECKPOINT")
     for flag, low in (("checkpoint_every", 0), ("horizon", 0), ("n_probe", 1)):
         if hasattr(args, flag):
             _check_at_least("--" + flag.replace("_", "-"), getattr(args, flag), low)
+    if command in ("train", "transform-exp") and not cfg.manifest:
+        raise UsageError(f"{command} needs a manifest; pass --manifest "
+                         "or set [data] manifest")
+    if (command in ("eval", "rollout", "gain", "probe")
+            and not (cfg.manifest or cfg.test_manifest)):
+        raise UsageError("no dataset given; pass --manifest or --test-manifest")
+    if command in ("eval", "rollout", "probe") and not args.checkpoint:
+        raise UsageError(f"{command} needs --checkpoint")
 
 
 def _eval_dataset(cfg: RunConfig):
-    path = cfg.test_manifest or cfg.manifest
-    if not path:
-        raise UsageError("no dataset given; pass --manifest or --test-manifest")
-    return load_dataset(path)
+    return load_dataset(cfg.test_manifest or cfg.manifest)
 
 
 # ---------------------------------------------------------------------
@@ -153,9 +157,6 @@ def cmd_gen_data(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> None:
-    if not cfg.manifest:
-        raise UsageError("training needs a manifest; pass --manifest "
-                         "or set [data] manifest")
     train_ds, plan = load_dataset(cfg.manifest)
     test_ds = load_dataset(cfg.test_manifest)[0] if cfg.test_manifest else None
     model = _fresh_model(cfg, args)
@@ -278,8 +279,6 @@ def cmd_probe(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_transform_exp(cfg: RunConfig, args: argparse.Namespace) -> None:
-    if not cfg.manifest:
-        raise UsageError("transform-exp needs a manifest; pass --manifest")
     names = cfg.family_list()
     ds, _ = load_dataset(cfg.manifest)
     for name in names:
@@ -413,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args.config, _flag_overrides(args))
         args.model_cfg, args.train_cfg = _checked_configs(cfg)
-        _check_flags(args)
+        _check_flags(cfg, args)
         _prepare_out(cfg)
         _HANDLERS[args.command](cfg, args)
         return 0

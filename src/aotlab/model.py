@@ -170,9 +170,6 @@ class Model(Module):
         self.astype(dtype)
 
     # -- plumbing ------------------------------------------------------
-    def named_tensors(self) -> dict:
-        return self.named()
-
     def trainable_tensors(self) -> dict:
         return {k: t for k, t in self.named().items() if t.requires_grad}
 

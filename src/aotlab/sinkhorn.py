@@ -18,30 +18,11 @@ node instead of 1 + 4 * iters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ShapeError
-
-
-@dataclass
-class DoublyStochastic:
-    """A (near-)doubly stochastic matrix with its projection metadata.
-
-    ``residual`` is the largest absolute deviation of any row or column sum
-    of ``array`` from 1.
-    """
-
-    array: np.ndarray
-    iters_used: int
-    residual: float
-
-    @property
-    def n(self) -> int:
-        return self.array.shape[-1]
 
 
 def _check_input(data: np.ndarray, iters: int) -> None:
@@ -110,65 +91,3 @@ def ds_residual(matrix: np.ndarray) -> float:
     row_dev = np.abs(matrix.sum(axis=-1) - 1.0).max()
     col_dev = np.abs(matrix.sum(axis=-2) - 1.0).max()
     return float(max(row_dev, col_dev))
-
-
-def sinkhorn_project(raw: np.ndarray, iters: int = 20) -> DoublyStochastic:
-    """Project one n x n raw array with ``sinkhorn_array`` and record its
-    residual.  The result carries no tape history; the differentiable path
-    is ``sinkhorn_tensor``."""
-    m = sinkhorn_array(raw, iters=iters)
-    if m.ndim != 2:
-        raise ShapeError(f"sinkhorn_project takes a single matrix, got shape {m.shape}")
-    return DoublyStochastic(m, iters_used=iters, residual=ds_residual(m))
-
-
-def sinkhorn_residual_trace(raw: np.ndarray, iters: int = 20) -> np.ndarray:
-    """Residual after each full sweep, shape (iters,), batched over raw."""
-    raw = np.asarray(raw, dtype=np.result_type(raw, np.float64))
-    _check_input(raw, iters)
-    return np.array([ds_residual(m) for *_, m in _sweeps(np.exp(raw), iters)])
-
-
-def ds_compose(chain: list) -> DoublyStochastic:
-    """Ordered product of doubly stochastic matrices.
-
-    ``chain[i]`` is applied after ``chain[i-1]``, so the product matrix is
-    ``chain[-1] @ ... @ chain[0]``.  The residual is measured on the
-    product; ``iters_used`` sums the constituents'.
-    """
-    if not chain:
-        raise ValueError("ds_compose needs a non-empty chain")
-    n = chain[0].n
-    for ds in chain:
-        if ds.n != n:
-            raise ShapeError(f"ds_compose dimension mismatch: {ds.n} vs {n}")
-    prod = chain[0].array
-    for ds in chain[1:]:
-        prod = ds.array @ prod
-    return DoublyStochastic(
-        prod,
-        iters_used=sum(ds.iters_used for ds in chain),
-        residual=ds_residual(prod),
-    )
-
-
-def spectral_norm_bound_check(m: DoublyStochastic, steps: int = 100, tol: float = 1e-10) -> float:
-    """Largest singular value via power iteration on M^T M.
-
-    Starts from the all-ones direction, which has positive overlap with the
-    top singular vector of any nonnegative matrix.
-    """
-    a = m.array
-    v = np.ones(a.shape[-1]) / np.sqrt(a.shape[-1])
-    sigma = 0.0
-    for _ in range(steps):
-        w = a.T @ (a @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new_sigma = np.linalg.norm(a @ v)
-        if abs(new_sigma - sigma) < tol:
-            return float(new_sigma)
-        sigma = new_sigma
-    return float(sigma)

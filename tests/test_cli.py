@@ -11,6 +11,7 @@ from aotlab.checkpoint import load_checkpoint, save_checkpoint
 from aotlab.cli import main
 from aotlab.config import RunConfig, resolve_config, write_config
 from aotlab.data import load_trajectory, trajectory_crc
+from aotlab.errors import UsageError
 from aotlab.model import Model, ModelConfig
 from aotlab.train import STREAM_INIT, TrainConfig, named_stream
 
@@ -37,6 +38,18 @@ warmup_epochs = 1
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def write_ini(src, dst, section=None, key=None, value=None):
+    """Copy the config file ``src`` to ``dst``, with ``[section] key`` set
+    to ``value`` when a section is given."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(src)
+    if section:
+        parser.read_dict({section: {key: value}})
+    with open(dst, "w") as fh:
+        parser.write(fh)
+    return dst
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +148,11 @@ def test_malformed_config_is_usage_error(tmp_path, body):
     bad = tmp_path / "bad.ini"
     bad.write_bytes(body)
     assert run("--config", bad, "--out", tmp_path / "o", "train") == 1
+
+
+def test_unknown_flag_key_is_usage_error():
+    with pytest.raises(UsageError, match="bogus"):
+        resolve_config(None, {"bogus": "1"})
 
 
 def test_missing_config_file_is_usage_error(tmp_path):
@@ -393,6 +411,16 @@ def test_rollout_bad_family_or_index(tiny_ini, trained, tmp_path):
                "--family", "heat", "--index", 99) == 1
 
 
+def test_rollout_needs_more_frames_than_t_in(tiny_ini, trained, corpus, tmp_path,
+                                              capsys):
+    frames = len(load_trajectory(str(corpus / "heat" / "test_000.aotd"))[0])
+    ini = write_ini(tiny_ini, tmp_path / "long.ini", "model", "t_in", str(frames))
+    assert run("--config", ini, "--out", tmp_path / "o", "rollout",
+               "--checkpoint", trained / "checkpoint.aotc",
+               "--family", "heat") == 1
+    assert f"need more than t_in = {frames}" in capsys.readouterr().err
+
+
 TINY_GEN = ("gen-data", "--grid", 8, "--n-train", 1, "--n-test", 1)
 
 
@@ -423,23 +451,36 @@ TINY_GEN = ("gen-data", "--grid", 8, "--n-train", 1, "--n-test", 1)
     (("train", "weight_decay", "-1"), ("train",)),
     (None, ("train", "--epochs", "x")),
     (None, TINY_GEN + ("--grid", 1.5)),
+    (None, TINY_GEN + ("--families", ",")),
+    (None, TINY_GEN + ("--families", "heat,heat")),
+    (None, ("train", "--manifest", "")),
+    (None, ("transform-exp", "--manifest", "")),
+    (None, ("eval", "--manifest", "", "--test-manifest", "",
+            "--checkpoint", "{ckpt}")),
+    (None, ("rollout", "--manifest", "", "--test-manifest", "",
+            "--checkpoint", "{ckpt}", "--family", "heat")),
+    (None, ("gain", "--manifest", "", "--test-manifest", "")),
+    (None, ("probe", "--manifest", "", "--test-manifest", "",
+            "--checkpoint", "{ckpt}")),
+    (None, ("eval",)),
+    (None, ("rollout", "--family", "heat")),
+    (None, ("probe",)),
 ], ids=["checkpoint-every", "horizon", "n-probe", "threads-zero",
         "threads-negative", "run-section-threads", "grid", "patch-zero",
         "heads-zero", "groups-word", "clip-norm-word", "epochs-zero",
         "epochs-flag-zero", "warmup-past-epochs", "n-test-zero",
         "frozen-without-source", "grid-not-power-of-two", "peak-lr-nan",
         "noise-inf", "weight-decay-nan", "gate-init-nan", "eps-zero",
-        "weight-decay-negative", "epochs-flag-word", "grid-flag-fraction"])
+        "weight-decay-negative", "epochs-flag-word", "grid-flag-fraction",
+        "families-none", "families-duplicate", "train-without-manifest",
+        "transform-exp-without-manifest", "eval-without-dataset",
+        "rollout-without-dataset", "gain-without-dataset",
+        "probe-without-dataset", "eval-without-checkpoint",
+        "rollout-without-checkpoint", "probe-without-checkpoint"])
 def test_bad_numeric_flag_is_usage_error(tiny_ini, trained, tmp_path, capsys,
                                          monkeypatch, setting, argv):
     monkeypatch.chdir(tmp_path)  # a command that wrongly runs writes here
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read(tiny_ini)
-    if setting:
-        section, key, value = setting
-        parser.read_dict({section: {key: value}})
-    with open(tmp_path / "run.ini", "w") as fh:
-        parser.write(fh)
+    write_ini(tiny_ini, tmp_path / "run.ini", *(setting or ()))
     argv = [str(a).format(ckpt=trained / "checkpoint.aotc") for a in argv]
     assert run("--config", tmp_path / "run.ini", "--out", tmp_path / "out",
                *argv) == 1
@@ -495,6 +536,17 @@ def test_transform_exp_artifacts(tiny_ini, tmp_path):
     assert len(cross) == 3
     for run_dir in ("vanilla", "learned", "frozen"):
         assert (tmp_path / run_dir / "checkpoint.aotc").exists()
+
+
+def test_transform_exp_family_missing_from_manifest(corpus, tmp_path, capsys):
+    text = (corpus / "train_manifest.tsv").read_text()
+    rows = [ln.split("\t") for ln in text.split("\n") if ln]
+    manifest = tmp_path / "heat.tsv"
+    manifest.write_text("".join(f"{corpus / rel}\t{fam}\t{w}\n"
+                                for rel, fam, w in rows if fam == "heat"))
+    assert run("--out", tmp_path / "o", "transform-exp", "--manifest", manifest,
+               "--families", "heat,ns_vorticity") == 1
+    assert "'ns_vorticity' not in dataset" in capsys.readouterr().err
 
 
 def test_transform_exp_trains_each_run_once(tiny_ini, tmp_path, monkeypatch):

@@ -189,8 +189,8 @@ def test_forward_deterministic_across_rebuilds():
     u = window(rng, tiny_cfg())
     m1, _ = make_model(seed=99)
     m2, _ = make_model(seed=99)
-    for (k1, t1), (k2, t2) in zip(sorted(m1.named_tensors().items()),
-                                  sorted(m2.named_tensors().items())):
+    for (k1, t1), (k2, t2) in zip(sorted(m1.named().items()),
+                                  sorted(m2.named().items())):
         assert k1 == k2
         np.testing.assert_array_equal(t1.data, t2.data)
     np.testing.assert_array_equal(m1.forward(Tensor(u)).numpy(),
@@ -350,7 +350,7 @@ PINNED_DESK_PARAMETERS = {
 @pytest.mark.parametrize("mode", TRANSFORM_MODES)
 def test_desk_parameter_table_is_pinned(mode):
     model = Model(ModelConfig(), named_stream(7, STREAM_INIT), transform_mode=mode)
-    named = model.named_tensors()
+    named = model.named()
     table = "".join(f"{name} {t.shape} {t.requires_grad}\n" for name, t in named.items())
     init = hashlib.sha256()
     for t in named.values():
@@ -405,7 +405,7 @@ def test_every_parameter_class_has_fd_consistent_gradients():
     model, cfg = make_model(seed=32, transform_mode="learned", blocks=1, patch=2,
                             modes=2, gate_init=0.5)
     rng = np.random.default_rng(33)
-    for name, t in model.named_tensors().items():
+    for name, t in model.named().items():
         if ".mix.inner." in name:
             t.data = 0.5 * rng.standard_normal(t.shape)
     u = window(rng, cfg)
@@ -441,7 +441,7 @@ def test_three_by_three_token_grid_has_fd_consistent_gradients():
     assert (cfg.token_h, cfg.token_w) == (3, 3)
     model = Model(cfg, np.random.default_rng(34))
     rng = np.random.default_rng(35)
-    for name, t in model.named_tensors().items():
+    for name, t in model.named().items():
         if ".mix.inner." in name:  # lift the 0.02-scale init so the mixer matters
             t.data = 0.5 * rng.standard_normal(t.shape)
     u = window(rng, cfg)
@@ -456,7 +456,7 @@ def test_three_by_three_token_grid_has_fd_consistent_gradients():
 
     for name in ("blocks.0.mix.inner.w1_re", "blocks.0.mix.inner.w2_im",
                  "blocks.0.mix.inner.b1_im", "patch.w"):
-        t = model.named_tensors()[name]
+        t = model.named()[name]
         idx, num = fd_entries(loss_fn, t, k=3, seed=36)
         got = t.grad.reshape(-1)[idx]
         err = np.abs(got - num)
@@ -526,7 +526,7 @@ def test_whole_model_gradient_bites_on_every_live_tensor():
                       modes=2, blocks=2, streams=3, groups=2, gate_init=0.5)
     model = Model(cfg, np.random.default_rng(40), transform_mode="learned")
     rng = np.random.default_rng(41)
-    for name, t in model.named_tensors().items():
+    for name, t in model.named().items():
         if ".mix.inner." in name:
             t.data = 0.5 * rng.standard_normal(t.shape)
     model.gamma.data = 0.5 * rng.standard_normal(cfg.d_z)
@@ -628,7 +628,7 @@ def test_f32_model_runs_entirely_in_f32():
     assert out.data.dtype == np.float32
     assert all(m.t.data.dtype == np.float32 for m in maps)
     assert all(t.data.dtype == np.float32
-               for t in model.named_tensors().values())
+               for t in model.named().values())
 
 
 def test_astype_matches_f32_construction():
@@ -640,7 +640,7 @@ def test_astype_matches_f32_construction():
     for mode in ("vanilla", "learned"):
         a = Model(cfg, np.random.default_rng(5), dtype=np.float32, transform_mode=mode)
         b = Model(cfg, np.random.default_rng(5), transform_mode=mode).astype(np.float32)
-        ta, tb = a.named_tensors(), b.named_tensors()
+        ta, tb = a.named(), b.named()
         assert list(ta) == list(tb)
         for name, t in ta.items():
             assert t.data.dtype == tb[name].data.dtype == np.float32, name

@@ -8,16 +8,7 @@ import pytest
 from aotlab import autodiff as ad
 from aotlab.autodiff import Tape, Tensor
 from aotlab.errors import ShapeError
-from aotlab.sinkhorn import (
-    DoublyStochastic,
-    ds_compose,
-    ds_residual,
-    sinkhorn_array,
-    sinkhorn_project,
-    sinkhorn_residual_trace,
-    sinkhorn_tensor,
-    spectral_norm_bound_check,
-)
+from aotlab.sinkhorn import ds_residual, sinkhorn_array, sinkhorn_tensor
 
 from test_tensor import check_grad, fd_grad
 
@@ -49,14 +40,13 @@ def scaling_oracle(raw, tol=1e-12, max_iters=100000):
 def test_large_diagonal_projects_to_identity():
     raw = np.zeros((4, 4))
     np.fill_diagonal(raw, 20.0)
-    ds = sinkhorn_project(raw, iters=20)
-    np.testing.assert_allclose(ds.array, np.eye(4), atol=1e-6)
+    np.testing.assert_allclose(sinkhorn_array(raw, iters=20), np.eye(4), atol=1e-6)
 
 
 def test_zero_raw_gives_exact_uniform():
-    ds = sinkhorn_project(np.zeros((4, 4)), iters=20)
-    assert np.all(ds.array == 0.25)
-    assert ds.residual == 0.0
+    m = sinkhorn_array(np.zeros((4, 4)), iters=20)
+    assert np.all(m == 0.25)
+    assert ds_residual(m) == 0.0
 
 
 def test_identity_bias_converged_value():
@@ -72,11 +62,10 @@ def test_identity_bias_converged_value():
 
 
 def test_degenerate_n1_returns_one():
-    ds = sinkhorn_project(np.array([[7.3]]), iters=1)
-    assert ds.array.shape == (1, 1)
-    assert ds.array[0, 0] == 1.0
-    ds = sinkhorn_project(np.array([[-50.0]]), iters=20)
-    assert ds.array[0, 0] == 1.0
+    m = sinkhorn_array(np.array([[7.3]]), iters=1)
+    assert m.shape == (1, 1)
+    assert m[0, 0] == 1.0
+    assert sinkhorn_array(np.array([[-50.0]]), iters=20)[0, 0] == 1.0
 
 
 # ---------------------------------------------------------------------
@@ -87,9 +76,9 @@ def test_degenerate_n1_returns_one():
 def test_bounded_raw_matches_oracle(seed):
     rng = np.random.default_rng(seed)
     raw = rng.uniform(-1.0, 1.0, size=(4, 4))
-    ds = sinkhorn_project(raw, iters=20)
-    assert ds.residual < 1e-6
-    np.testing.assert_allclose(ds.array, scaling_oracle(raw), atol=1e-6)
+    m = sinkhorn_array(raw, iters=20)
+    assert ds_residual(m) < 1e-6
+    np.testing.assert_allclose(m, scaling_oracle(raw), atol=1e-6)
 
 
 def test_gaussian_raw_tail_behavior():
@@ -110,7 +99,8 @@ def test_residual_monotone_up_to_fp_noise():
     ulp = 2.0 ** -52
     for seed in range(200):
         raw = np.random.default_rng(seed).standard_normal((4, 4))
-        r = sinkhorn_residual_trace(raw, iters=20)
+        r = np.array([ds_residual(sinkhorn_array(raw, iters=k))
+                      for k in range(1, 21)])
         assert np.all(np.diff(r) <= ulp), f"seed {seed}"
         # strictly monotone while above the fp noise floor
         above = r > 1e-13
@@ -167,11 +157,15 @@ def test_complex_input_rejected():
     with pytest.raises(ShapeError):
         sinkhorn_array(raw)
     with pytest.raises(ShapeError):
-        sinkhorn_residual_trace(raw)
-    with pytest.raises(ShapeError):
-        sinkhorn_project(raw)
-    with pytest.raises(ShapeError):
         Tensor(np.zeros((4, 4), dtype=complex))
+
+
+def test_residual_reads_rows_and_columns():
+    """After a column-last sweep only the rows are off, so a projection
+    alone never shows whether the residual reads the column sums."""
+    rows_exact = np.array([[0.5, 0.5], [1.0, 0.0]])
+    assert ds_residual(rows_exact) == 0.5
+    assert ds_residual(rows_exact.T) == 0.5
 
 
 def test_bad_iters_rejected():
@@ -260,81 +254,23 @@ def test_fused_node_without_tape_records_nothing(monkeypatch):
 
 
 # ---------------------------------------------------------------------
-# composition and spectral norm
+# products and spectral norm
 # ---------------------------------------------------------------------
 
-def _project(rng, n=4):
-    return sinkhorn_project(rng.uniform(-1, 1, (n, n)), iters=20)
-
-
-def test_compose_permutations():
-    p1 = np.eye(4)[[1, 0, 3, 2]]
-    p2 = np.eye(4)[[2, 3, 0, 1]]
-    chain = [
-        DoublyStochastic(p1, iters_used=0, residual=0.0),
-        DoublyStochastic(p2, iters_used=0, residual=0.0),
-    ]
-    np.testing.assert_array_equal(ds_compose(chain).array, p2 @ p1)
-
-
-def test_compose_with_identity_is_noop():
-    rng = np.random.default_rng(8)
-    m = _project(rng)
-    ident = DoublyStochastic(np.eye(4), iters_used=0, residual=0.0)
-    np.testing.assert_allclose(ds_compose([m, ident]).array, m.array, rtol=1e-15)
-    np.testing.assert_allclose(ds_compose([ident, m]).array, m.array, rtol=1e-15)
+def _project(rng):
+    return sinkhorn_array(rng.uniform(-1, 1, (4, 4)), iters=20)
 
 
 def test_compose_24_outputs_row_sums_within_1e4():
     rng = np.random.default_rng(9)
-    chain = [_project(rng) for _ in range(24)]
-    prod = ds_compose(chain)
-    assert np.abs(prod.array.sum(axis=-1) - 1.0).max() < 1e-4
-    assert np.abs(prod.array.sum(axis=-2) - 1.0).max() < 1e-4
-    assert prod.iters_used == 24 * 20
-
-
-def test_compose_errors():
-    with pytest.raises(ValueError):
-        ds_compose([])
-    a = DoublyStochastic(np.eye(3), 0, 0.0)
-    b = DoublyStochastic(np.eye(4), 0, 0.0)
-    with pytest.raises(ShapeError):
-        ds_compose([a, b])
-
-
-def test_spectral_norm_identity_and_uniform():
-    ident = DoublyStochastic(np.eye(4), 0, 0.0)
-    assert abs(spectral_norm_bound_check(ident) - 1.0) < 1e-10
-    uniform = DoublyStochastic(np.full((4, 4), 0.25), 0, 0.0)
-    assert abs(spectral_norm_bound_check(uniform) - 1.0) < 1e-10
-
-
-def test_spectral_norm_of_zero_and_of_an_unconverged_iteration():
-    """A zero matrix has norm 0; a run that stops before converging
-    returns its last estimate, a lower bound on the largest singular value."""
-    assert spectral_norm_bound_check(DoublyStochastic(np.zeros((3, 3)), 0, 1.0)) == 0.0
-    a = np.random.default_rng(231).uniform(0.0, 1.0, (4, 4))
-    m = DoublyStochastic(a, 0, ds_residual(a))
-    v = a.T @ (a @ np.full(4, 0.5))
-    v = v / np.linalg.norm(v)
-    top = np.linalg.svd(a, compute_uv=False)[0]
-    one_step = spectral_norm_bound_check(m, steps=1)
-    assert one_step == float(np.linalg.norm(a @ v)) and one_step <= top
-    assert abs(spectral_norm_bound_check(m) - top) < 1e-8
+    prod = np.eye(4)
+    for _ in range(24):
+        prod = _project(rng) @ prod
+    assert np.abs(prod.sum(axis=-1) - 1.0).max() < 1e-4
+    assert np.abs(prod.sum(axis=-2) - 1.0).max() < 1e-4
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_spectral_norm_bound_and_svd_agreement(seed):
-    rng = np.random.default_rng(200 + seed)
-    ds = _project(rng)
-    sigma = spectral_norm_bound_check(ds)
-    assert sigma <= 1.0 + 1e-5
-    assert abs(sigma - np.linalg.svd(ds.array, compute_uv=False)[0]) < 1e-8
-
-
-def test_residual_trace_matches_final_residual():
-    raw = np.random.default_rng(10).uniform(-1, 1, (4, 4))
-    trace = sinkhorn_residual_trace(raw, iters=20)
-    assert trace.shape == (20,)
-    assert abs(trace[-1] - sinkhorn_project(raw, iters=20).residual) < 1e-15
+    m = _project(np.random.default_rng(200 + seed))
+    assert np.linalg.norm(m, 2) <= 1.0 + 1e-5

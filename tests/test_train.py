@@ -565,12 +565,12 @@ def test_train_deterministic_trace(heat_corpus):
 def test_train_zero_lr_keeps_parameters_bitwise(heat_corpus):
     train_ds, _, plan = heat_corpus
     model = tiny_model(seed=3)
-    before = {k: t.data.copy() for k, t in model.named_tensors().items()}
+    before = {k: t.data.copy() for k, t in model.named().items()}
     cfg = TrainConfig(epochs=1, steps_per_epoch=5, batch=2, warmup_epochs=0,
                       seed=3)
     cfg.peak_lr = 0.0  # post-validation override: the loop must tolerate it
     train(model, train_ds, plan, cfg)
-    for k, t in model.named_tensors().items():
+    for k, t in model.named().items():
         np.testing.assert_array_equal(t.data, before[k])
 
 
@@ -602,8 +602,8 @@ def test_train_resume_bit_identical(tmp_path, heat_corpus, monkeypatch):
     model_c = tiny_model(seed=99)
     res_rest = train(model_c, train_ds, plan, cfg, resume_from=midway)
     assert res_rest.loss_trace == full.loss_trace[6:]  # bit-identical trace
-    for (ka, ta), (kc, tc) in zip(sorted(model_a.named_tensors().items()),
-                                  sorted(model_c.named_tensors().items())):
+    for (ka, ta), (kc, tc) in zip(sorted(model_a.named().items()),
+                                  sorted(model_c.named().items())):
         assert ka == kc
         np.testing.assert_array_equal(ta.data, tc.data)
 
@@ -620,7 +620,7 @@ def test_restore_rejects_malformed_rng_state(tmp_path, state, match):
     opt = AdamW(model.trainable_tensors())
     path = str(tmp_path / "c.aotc")
     save_checkpoint(path, config_hash(model.cfg), 0,
-                    {k: t.data for k, t in model.named_tensors().items()},
+                    {k: t.data for k, t in model.named().items()},
                     opt.state_blocks(), state)
     with pytest.raises(FormatError, match=match):
         restore_training_checkpoint(path, model, opt, named_stream(0, 0),
@@ -674,7 +674,7 @@ def restore(model, path):
 ])
 def test_model_loaders_name_the_bad_tensor(tmp_path, load, edit, match):
     model = tiny_model()
-    tensors = {k: t.data for k, t in model.named_tensors().items()}
+    tensors = {k: t.data for k, t in model.named().items()}
     opt_blocks = AdamW(model.trainable_tensors()).state_blocks()
     edit(tensors, opt_blocks)
     path = str(tmp_path / "c.aotc")
@@ -691,16 +691,16 @@ def test_frozen_transform_is_bit_frozen(tmp_path, heat_corpus):
     res = train(learned, train_ds, plan, cfg, out_dir=str(tmp_path))
     frozen = tiny_model(seed=7, mode="frozen")
     load_transform(frozen, res.checkpoint_path)
-    before = {k: t.data.copy() for k, t in frozen.named_tensors().items()
+    before = {k: t.data.copy() for k, t in frozen.named().items()
               if k.startswith("transform.")}
     # learned run must have moved its transform off the identity init
     assert any(not np.array_equal(before[k],
                                   tiny_model(seed=7, mode="frozen")
-                                  .named_tensors()[k].data)
+                                  .named()[k].data)
                for k in before)
     train(frozen, train_ds, plan, cfg)
     for k, arr in before.items():
-        np.testing.assert_array_equal(frozen.named_tensors()[k].data, arr)
+        np.testing.assert_array_equal(frozen.named()[k].data, arr)
 
 
 def test_blowup_aborts_and_keeps_last_good(tmp_path, heat_corpus):

@@ -25,7 +25,9 @@ nodes: a Sinkhorn sweep's column term with a flipped sign, one sweep too
 few replayed, the sweep input and the row-normalized matrix swapped; a
 GroupNorm backward that drops one of the two variance terms, sums its
 broadcast without the C-ordered copy, lets numpy reuse a temporary as a
-sum's output, or flips the sign of the mean term.
+sum's output, or flips the sign of the mean term.  Two more in
+``sinkhorn.py`` let ``ds_residual`` read only the row sums, or only the
+column sums.
 The others in ``blocks.py`` break the fused adaptive nodes: a dropped
 term or gradient into the pooled vector, a flipped sign in the simplex
 term, a lost factor 2 in ``d``, the maps recorded in another order (which
@@ -156,6 +158,10 @@ MUTANTS = {AUTODIFF: [
      "zip(reversed(ins[1:]), reversed(steps[1:]))"),
     ("sinkhorn: m_in and m_rows swapped",
      "for m_in, (rows, m_rows, cols, _) in", "for m_rows, (rows, m_in, cols, _) in"),
+    ("ds_residual: rows only", "return float(max(row_dev, col_dev))",
+     "return float(row_dev)"),
+    ("ds_residual: columns only", "return float(max(row_dev, col_dev))",
+     "return float(col_dev)"),
 ], BLOCKS: [
     ("GroupNorm: drops one g_sq term", "g_centered = gy_r + g_sq + g_sq",
      "g_centered = gy_r + g_sq"),
