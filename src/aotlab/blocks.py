@@ -145,20 +145,18 @@ class ChannelMLP(Module):
         return ad.transpose(ad.reshape(out, (b, h, w, c)), (0, 3, 1, 2))
 
 
-class MixerSubLayer(Module):
-    """Adapter giving the Fourier mixer the sub-layer interface."""
+class MixerSubLayer(FourierMixerParams):
+    """The Fourier mixer's parameters with the sub-layer interface."""
 
-    def __init__(self, dim: int, heads: int, modes: int, rng: np.random.Generator,
-                 activation: str = "gelu"):
-        self.params = FourierMixerParams.init(dim, heads, modes, rng)
-        self.activation = activation
+    @classmethod
+    def init(cls, dim: int, heads: int, modes: int, rng: np.random.Generator,
+             activation: str = "gelu") -> "MixerSubLayer":
+        layer = super().init(dim, heads, modes, rng)
+        layer.activation = activation
+        return layer
 
     def forward(self, x: Tensor) -> Tensor:
-        return fourier_mix(x, self.params, activation=self.activation)
-
-    def named(self, prefix: str) -> dict:
-        # the mixer's tensors sit directly under the sub-layer's prefix
-        return self.params.named(prefix)
+        return fourier_mix(x, self, activation=self.activation)
 
 
 # ---------------------------------------------------------------------

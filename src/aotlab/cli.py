@@ -27,6 +27,7 @@ import numpy as np
 from .config import SECTION_OF, RunConfig, resolve_config, write_config
 from .container import write_lines
 from .data import (
+    FAMILIES,
     SamplingPlan,
     build_dataset,
     desk_specs,
@@ -102,8 +103,6 @@ def _checked_configs(cfg: RunConfig) -> tuple[ModelConfig, TrainConfig]:
     it writes a file."""
     for key in ("threads", "grid", "n_train", "n_test"):
         _check_at_least(key, getattr(cfg, key), 1)
-    if cfg.grid & (cfg.grid - 1):
-        raise UsageError(f"grid must be a power of two, got {cfg.grid}")
     try:
         return cfg.model_config(), cfg.train_config()
     except ValueError as exc:
@@ -127,6 +126,9 @@ def _check_flags(cfg: RunConfig, args: argparse.Namespace) -> None:
         raise UsageError("no dataset given; pass --manifest or --test-manifest")
     if command in ("eval", "rollout", "probe") and not args.checkpoint:
         raise UsageError(f"{command} needs --checkpoint")
+    if command == "rollout" and args.family not in FAMILIES:
+        raise UsageError(f"unknown family {args.family!r}; valid families: "
+                         + ", ".join(FAMILIES))
 
 
 def _eval_dataset(cfg: RunConfig):

@@ -211,8 +211,7 @@ class TrajectoryDataset:
     """
 
     def __init__(self, trajectories: list[np.ndarray], labels: list[str],
-                 native_channels: list[int] | None = None,
-                 c_max: int | None = None):
+                 native_channels: list[int] | None = None):
         if not trajectories:
             raise ValueError("dataset must contain at least one trajectory")
         if len(trajectories) != len(labels):
@@ -223,11 +222,13 @@ class TrajectoryDataset:
             raise ShapeError(f"mixed spatial shapes {sorted(shapes)}")
         if native_channels is None:
             native_channels = [t.shape[-1] for t in trajectories]
+        elif len(native_channels) != len(trajectories):
+            raise ShapeError(f"{len(trajectories)} trajectories "
+                             f"vs {len(native_channels)} native channel counts")
         elif any(n > t.shape[-1] for n, t in zip(native_channels, trajectories)):
             raise ShapeError("native channel count exceeds stored channels")
         self.native_channels = list(native_channels)
-        c_max = max([t.shape[-1] for t in trajectories]
-                    + ([c_max] if c_max is not None else []))
+        c_max = max(t.shape[-1] for t in trajectories)
         self.trajectories = [pad_channels(t, c_max) for t in trajectories]
         self.labels = list(labels)
         self.c_max = c_max
@@ -260,8 +261,7 @@ def family_subset(ds: TrajectoryDataset, family: str) -> TrajectoryDataset:
     idxs = ds.family_indices(family)
     return TrajectoryDataset([ds.trajectories[i] for i in idxs],
                              [ds.labels[i] for i in idxs],
-                             native_channels=[ds.native_channels[i] for i in idxs],
-                             c_max=ds.c_max)
+                             native_channels=[ds.native_channels[i] for i in idxs])
 
 
 def build_dataset(specs: list[PdeFamilySpec], n_train: int, n_test: int,

@@ -90,16 +90,6 @@ def rollout(predict, initial_window: np.ndarray, horizon: int) -> RolloutResult:
 # propagation gains
 # ---------------------------------------------------------------------
 
-def forward_gain(t: np.ndarray) -> np.ndarray:
-    """Maximum absolute row sum (induced infinity norm), batched."""
-    return np.max(np.sum(np.abs(t), axis=-1), axis=-1)
-
-
-def backward_gain(t: np.ndarray) -> np.ndarray:
-    """Maximum absolute column sum (induced 1-norm), batched."""
-    return np.max(np.sum(np.abs(t), axis=-2), axis=-1)
-
-
 @dataclass
 class GainReport:
     forward: list                 # per sub-layer, averaged over inputs
@@ -114,17 +104,24 @@ class GainReport:
 
 
 def gains_from_matrices(mats: list) -> GainReport:
-    """Build the report from per-sub-layer (S, n, n) matrix stacks."""
+    """Build the report from per-sub-layer (S, n, n) matrix stacks.  The
+    forward gain of a matrix is its induced infinity norm (maximum
+    absolute row sum), the backward gain its induced 1-norm (maximum
+    absolute column sum); each is averaged over the stack."""
     if not mats:
         raise ValueError("need at least one sub-layer of matrices")
-    fwd = [float(np.mean(forward_gain(t))) for t in mats]
-    bwd = [float(np.mean(backward_gain(t))) for t in mats]
+
+    def gain(t: np.ndarray, order) -> float:
+        return float(np.mean(np.linalg.norm(t, order, axis=(-2, -1))))
+
+    fwd = [gain(t, np.inf) for t in mats]
+    bwd = [gain(t, 1) for t in mats]
     comp_f, comp_b = [None] * len(mats), [None] * len(mats)
     prod = None
     for l in range(len(mats) - 1, -1, -1):
         prod = mats[l] if prod is None else prod @ mats[l]
-        comp_f[l] = float(np.mean(forward_gain(prod)))
-        comp_b[l] = float(np.mean(backward_gain(prod)))
+        comp_f[l] = gain(prod, np.inf)
+        comp_b[l] = gain(prod, 1)
     return GainReport(fwd, bwd, comp_f, comp_b, mats[0].shape[0])
 
 

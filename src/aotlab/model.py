@@ -126,11 +126,16 @@ def temporal_aggregate(tokens: Tensor, t_mlp, gamma: Tensor) -> Tensor:
     return ad.tsum(y * ad.reshape(phase, (1, t, c, 1, 1)), axis=1)
 
 
-class _IdentityModule:
-    """Pass-through stand-in for the temporal MLP in hand-check tests."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
+def _coordinate_grid(cfg: ModelConfig) -> np.ndarray:
+    """(T_in * H * W, 3) float64 normalized (x, y) and frame index of every node."""
+    h, w, t_in = cfg.height, cfg.width, cfg.t_in
+    xs = np.arange(h) / (h - 1) if h > 1 else np.zeros(1)
+    ys = np.arange(w) / (w - 1) if w > 1 else np.zeros(1)
+    grid = np.empty((t_in, h, w, 3))
+    grid[..., 0] = xs[None, :, None]
+    grid[..., 1] = ys[None, None, :]
+    grid[..., 2] = np.arange(t_in, dtype=float)[:, None, None]
+    return grid.reshape(-1, 3)
 
 
 class Model(Module):
@@ -161,12 +166,12 @@ class Model(Module):
                                cfg.sinkhorn_iters, cfg.norm_groups())
 
         self.blocks = [
-            Module(mix=wrap(MixerSubLayer(dz, cfg.heads, cfg.modes, rng, cfg.activation)),
+            Module(mix=wrap(MixerSubLayer.init(dz, cfg.heads, cfg.modes, rng,
+                                               cfg.activation)),
                    mlp=wrap(ChannelMLP(dz, rng)))
             for _ in range(cfg.blocks)]
         self.head = Linear(dz, p * p * c, rng)
         self.transform = LinearTransformPair(c, transform_mode)
-        self._coord_cache: np.ndarray | None = None
         self.astype(dtype)
 
     # -- plumbing ------------------------------------------------------
@@ -174,11 +179,12 @@ class Model(Module):
         return {k: t for k, t in self.named().items() if t.requires_grad}
 
     def astype(self, dtype) -> "Model":
-        """Cast every parameter in place; forward passes follow the new dtype."""
+        """Cast every parameter in place, and build the node coordinates the
+        embedding adds at the new dtype; forward passes follow it."""
         self.dtype = dtype
         for t in self.named().values():
             t.data = t.data.astype(dtype)
-        self._coord_cache = None
+        self._coords = _coordinate_grid(self.cfg).astype(dtype)
         return self
 
     def param_count(self) -> int:
@@ -188,20 +194,6 @@ class Model(Module):
         """Parameters of the adaptive maps plus the readout logits."""
         return sum(t.size for name, t in self.named().items()
                    if name == "readout.w" or ".maps." in name)
-
-    def _coords(self) -> np.ndarray:
-        """(T_in * H * W, 3) normalized (x, y) and frame index of every node."""
-        if self._coord_cache is not None:
-            return self._coord_cache
-        h, w, t_in = self.cfg.height, self.cfg.width, self.cfg.t_in
-        xs = np.arange(h) / (h - 1) if h > 1 else np.zeros(1)
-        ys = np.arange(w) / (w - 1) if w > 1 else np.zeros(1)
-        grid = np.empty((t_in, h, w, 3))
-        grid[..., 0] = xs[None, :, None]
-        grid[..., 1] = ys[None, None, :]
-        grid[..., 2] = np.arange(t_in, dtype=float)[:, None, None]
-        self._coord_cache = grid.reshape(-1, 3).astype(self.dtype)
-        return self._coord_cache
 
     # -- stages --------------------------------------------------------
     def _check_window(self, u: Tensor) -> None:
@@ -215,7 +207,7 @@ class Model(Module):
         cfg = self.cfg
         self._check_window(u)
         b, t = u.shape[0], u.shape[1]
-        pos = ad.matmul(Tensor(self._coords()), ad.transpose(self.w_p, (1, 0)))
+        pos = ad.matmul(Tensor(self._coords), ad.transpose(self.w_p, (1, 0)))
         u = u + ad.reshape(pos, (1, t, cfg.height, cfg.width, cfg.channels))
 
         p, hp, wp = cfg.patch, cfg.token_h, cfg.token_w

@@ -1,4 +1,4 @@
-"""Spectral solvers for periodic 2-D model problems on power-of-two grids.
+"""Spectral solvers for periodic 2-D model problems.
 
 Three families: heat (exact spectral integration), diffusion-reaction with
 FitzHugh-Nagumo kinetics (exact diffusion, explicit Euler reaction), and
@@ -45,9 +45,8 @@ def _batched(ic, ndim: int) -> tuple[np.ndarray, bool]:
     if len(ic) < 1:
         raise ShapeError(f"empty batch of initial conditions: {ic.shape}")
     h, w = ic.shape[1], ic.shape[2]
-    for n in (h, w):
-        if n < 1 or n & (n - 1):
-            raise ShapeError(f"grid extents must be powers of two, got ({h}, {w})")
+    if h < 1 or w < 1:
+        raise ShapeError(f"grid extents must be at least 1, got ({h}, {w})")
     return ic, single
 
 

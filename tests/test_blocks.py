@@ -627,7 +627,7 @@ def test_readout_shape_check():
 def make_sublayer(seed, gate_init=0.01, inner_kind="mixer", n=4, c=4):
     rng = np.random.default_rng(seed)
     if inner_kind == "mixer":
-        inner = MixerSubLayer(c, 2, 2, rng)
+        inner = MixerSubLayer.init(c, 2, 2, rng)
     else:
         inner = ChannelMLP(c, rng)
     return AotSubLayer(inner, n, c, rng, gate_init=gate_init)

@@ -108,6 +108,14 @@ def test_gen_data_rerun_and_threads_give_identical_crcs(corpus, tmp_path):
                 == (corpus / f"{split}_manifest.tsv").read_text())
 
 
+def test_gen_data_on_a_grid_that_is_not_a_power_of_two(tmp_path):
+    assert run("--out", tmp_path / "gen", "gen-data", "--root", tmp_path / "data",
+               "--grid", 12, "--n-train", 1, "--n-test", 1) == 0
+    for fam in ("heat", "diffusion_reaction", "ns_vorticity"):
+        frames = load_trajectory(str(tmp_path / "data" / fam / "train_000.aotd"))[0]
+        assert frames.shape[1:3] == (12, 12) and np.all(np.isfinite(frames))
+
+
 def test_gen_data_invalid_family_is_usage_error(tmp_path, capsys):
     code = run("--out", tmp_path, "gen-data", "--families", "heat,waves")
     assert code == 1
@@ -442,7 +450,6 @@ TINY_GEN = ("gen-data", "--grid", 8, "--n-train", 1, "--n-test", 1)
     (("train", "warmup_epochs", "99"), TINY_GEN),
     (("data", "n_test", "0"), ("train",)),
     (None, ("train", "--mode", "frozen")),
-    (None, TINY_GEN + ("--grid", 24)),
     (("train", "peak_lr", "nan"), ("train",)),
     (("train", "noise", "inf"), ("train",)),
     (("train", "weight_decay", "nan"), ("train",)),
@@ -465,18 +472,20 @@ TINY_GEN = ("gen-data", "--grid", 8, "--n-train", 1, "--n-test", 1)
     (None, ("eval",)),
     (None, ("rollout", "--family", "heat")),
     (None, ("probe",)),
+    (None, ("rollout", "--checkpoint", "{ckpt}", "--family", "waves")),
 ], ids=["checkpoint-every", "horizon", "n-probe", "threads-zero",
         "threads-negative", "run-section-threads", "grid", "patch-zero",
         "heads-zero", "groups-word", "clip-norm-word", "epochs-zero",
         "epochs-flag-zero", "warmup-past-epochs", "n-test-zero",
-        "frozen-without-source", "grid-not-power-of-two", "peak-lr-nan",
+        "frozen-without-source", "peak-lr-nan",
         "noise-inf", "weight-decay-nan", "gate-init-nan", "eps-zero",
         "weight-decay-negative", "epochs-flag-word", "grid-flag-fraction",
         "families-none", "families-duplicate", "train-without-manifest",
         "transform-exp-without-manifest", "eval-without-dataset",
         "rollout-without-dataset", "gain-without-dataset",
         "probe-without-dataset", "eval-without-checkpoint",
-        "rollout-without-checkpoint", "probe-without-checkpoint"])
+        "rollout-without-checkpoint", "probe-without-checkpoint",
+        "rollout-unknown-family"])
 def test_bad_numeric_flag_is_usage_error(tiny_ini, trained, tmp_path, capsys,
                                          monkeypatch, setting, argv):
     monkeypatch.chdir(tmp_path)  # a command that wrongly runs writes here

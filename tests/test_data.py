@@ -230,6 +230,13 @@ def test_family_with_disagreeing_channel_counts_rejected(tmp_path, capsys):
     assert "'heat' mixes 1 and 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("native", [[1], [1, 1, 5]], ids=["short", "long"])
+def test_native_channels_must_match_trajectory_count(native):
+    trajs = [np.zeros((12, 8, 8, 1)), np.zeros((12, 8, 8, 1))]
+    with pytest.raises(ShapeError, match="2 trajectories vs"):
+        TrajectoryDataset(trajs, ["heat", "heat"], native_channels=native)
+
+
 def test_build_dataset_sizes_and_disjointness():
     specs = [PdeFamilySpec("heat", grid=8, nu=1e-2, dt=1e-2, steps=3)]
     train, test = build_dataset(specs, 8, 2, seed=1)

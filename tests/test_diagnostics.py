@@ -6,9 +6,7 @@ import pytest
 from aotlab.data import TrajectoryDataset
 from aotlab.diagnostics import (
     GainReport,
-    backward_gain,
     extract_probe_features,
-    forward_gain,
     gain_analysis,
     gains_from_matrices,
     kernel_probe,
@@ -176,12 +174,13 @@ def test_model_predictor_matches_batched_forward():
 # ---------------------------------------------------------------------
 
 def test_gain_hand_matrix():
+    # forward is the maximum absolute row sum, backward the column sum
     t = np.array([[1.0, -2.0], [3.0, 4.0]])
-    assert forward_gain(t) == 7.0
-    assert backward_gain(t) == 6.0
-    batch = np.stack([t, np.eye(2)])
-    np.testing.assert_array_equal(forward_gain(batch), [7.0, 1.0])
-    np.testing.assert_array_equal(backward_gain(batch), [6.0, 1.0])
+    rep = gains_from_matrices([t[None]])
+    assert rep.forward == [7.0] and rep.backward == [6.0]
+    # a stack of inputs is averaged
+    rep = gains_from_matrices([np.stack([t, np.eye(2)])])
+    assert rep.forward == [4.0] and rep.backward == [3.5]
 
 
 def test_gains_identity_chain_all_one():
@@ -210,11 +209,11 @@ def test_gains_composite_ordering_is_later_layer_leftmost():
     b = np.array([[1.0, 0.0], [2.0, 1.0]])
     rep = gains_from_matrices([a[None], b[None]])
     # product must be T_1 @ T_0 = b @ a, not a @ b
-    assert forward_gain(b @ a) != forward_gain(a @ b)
+    assert np.linalg.norm(b @ a, np.inf) != np.linalg.norm(a @ b, np.inf)
     np.testing.assert_allclose(rep.composite_forward[0],
-                               forward_gain(b @ a))
+                               np.linalg.norm(b @ a, np.inf))
     np.testing.assert_allclose(rep.composite_backward[0],
-                               backward_gain(b @ a))
+                               np.linalg.norm(b @ a, 1))
 
 
 def test_random_sinkhorn_chain_gains_within_bounds():
@@ -229,7 +228,7 @@ def test_random_sinkhorn_chain_gains_within_bounds():
     prod = None
     for l in range(7, -1, -1):
         prod = mats[l] if prod is None else prod @ mats[l]
-    per_chain = forward_gain(prod)
+    per_chain = np.linalg.norm(prod, np.inf, axis=(-2, -1))
     assert per_chain.min() >= 1.0 - 1e-9
     assert per_chain.max() <= 2.0
 

@@ -9,16 +9,23 @@ import pytest
 from aotlab import autodiff as ad
 from aotlab.autodiff import Tape, Tensor
 from aotlab.errors import NumericOverflowError, ShapeError
+from aotlab.mixer import fourier_mix
 from aotlab.model import (
     TRANSFORM_MODES,
     LinearTransformPair,
     Model,
     ModelConfig,
-    _IdentityModule,
     apply_linear_transform,
     temporal_aggregate,
 )
 from aotlab.train import STREAM_INIT, denoising_loss, named_stream
+
+
+class _IdentityModule:
+    """Pass-through stand-in for the temporal MLP in hand-check tests."""
+
+    def forward(self, x: Tensor) -> Tensor:
+        return x
 
 
 def tiny_cfg(**kw):
@@ -132,7 +139,7 @@ def test_positional_encoding_is_additive_affine_field():
 
 def test_embed_coordinate_normalization():
     model, cfg = make_model(8, t_in=3)
-    coords = model._coords()
+    coords = model._coords
     grid = coords.reshape(3, 8, 8, 3)
     assert grid[..., 0].min() == 0.0 and grid[..., 0].max() == 1.0
     assert grid[..., 1].min() == 0.0 and grid[..., 1].max() == 1.0
@@ -222,6 +229,17 @@ def test_forward_collects_maps_per_sublayer():
     assert len(maps) == 2 * cfg.blocks
     assert all(m is not None for m in maps)
     assert maps[0].t.shape == (1, cfg.streams, cfg.streams)
+
+
+def test_mixers_run_the_configured_activation():
+    identity, cfg = make_model(42, activation="identity", modes=2)
+    gelu, _ = make_model(42, activation="gelu", modes=2)
+    z = Tensor(np.random.default_rng(43).standard_normal((2, cfg.d_z, 2, 2)))
+    for mine, other in zip(identity.blocks, gelu.blocks):
+        out = mine.mix.inner.forward(z).data
+        want = fourier_mix(z, mine.mix.inner, activation="identity").data
+        np.testing.assert_array_equal(out, want)
+        assert not np.allclose(out, other.mix.inner.forward(z).data)
 
 
 def test_forward_runs_at_the_model_precision():

@@ -756,8 +756,8 @@ def test_validate_uses_native_channels_only(heat_corpus):
 
     frames = np.repeat(np.random.default_rng(17)
                        .standard_normal((1, 4, 4, 1)), 5, axis=0)
-    from aotlab.data import TrajectoryDataset
-    ds = TrajectoryDataset([frames], ["heat"], native_channels=[1], c_max=2)
+    from aotlab.data import TrajectoryDataset, pad_channels
+    ds = TrajectoryDataset([pad_channels(frames, 2)], ["heat"], native_channels=[1])
     out = validate(Stub(), ds)
     assert out["heat"] == 0.0
 

@@ -43,9 +43,13 @@ only after the moments, parameters of mixed dtypes accepted, an update
 never bound to the parameters, loaded moments that replace the views
 instead of filling them, a clip-norm sum one element short, and a None
 gradient counted in the norm as ones.  One more in ``autodiff.py`` keeps strided
-gradients uncopied in ``Tape.backward``.  The mutant of ``model.py`` runs
-a window of another dtype without casting it to the model's precision.  For each mutant the repository is copied to
-a temporary directory, the mutant is applied there, and the suite runs::
+gradients uncopied in ``Tape.backward``.  The mutants of ``model.py`` run
+a window of another dtype without casting it to the model's precision,
+and build the mixers without the configured activation.  The mutant of
+``diagnostics.py`` reads the forward gain through the induced 1-norm
+instead of the infinity norm.  For each mutant the repository is copied
+to a temporary directory, the mutant is applied there, and the suite
+runs::
 
     python -m pytest -x -q tests bench/tests --deselect tests/test_acceptance.py
 
@@ -70,6 +74,7 @@ AUTODIFF = os.path.join("src", "aotlab", "autodiff.py")
 SINKHORN = os.path.join("src", "aotlab", "sinkhorn.py")
 BLOCKS = os.path.join("src", "aotlab", "blocks.py")
 MODEL = os.path.join("src", "aotlab", "model.py")
+DIAGNOSTICS = os.path.join("src", "aotlab", "diagnostics.py")
 TRAIN = os.path.join("src", "aotlab", "train.py")
 COMMAND = [sys.executable, "-m", "pytest", "-x", "-q", "tests", "bench/tests",
            "--deselect", "tests/test_acceptance.py"]
@@ -245,6 +250,13 @@ MUTANTS = {AUTODIFF: [
     ("Model: window not cast to the model's dtype",
      "Tensor(u.data if isinstance(u, Tensor) else u, dtype=self.dtype)",
      "Tensor(u.data if isinstance(u, Tensor) else u)"),
+    ("Model: mixer activation dropped",
+     "MixerSubLayer.init(dz, cfg.heads, cfg.modes, rng,\n"
+     "                                               cfg.activation)",
+     "MixerSubLayer.init(dz, cfg.heads, cfg.modes, rng)"),
+], DIAGNOSTICS: [
+    ("gains: forward through the 1-norm",
+     "fwd = [gain(t, np.inf) for t in mats]", "fwd = [gain(t, 1) for t in mats]"),
 ]}
 
 
