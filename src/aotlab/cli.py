@@ -7,12 +7,16 @@ numeric blow-up.
 
 A flag that sets a RunConfig key is named after it (``--steps-per-epoch``
 sets ``[train] steps_per_epoch``), and its text is parsed as file text is.
+A loaded model takes its precision and transform from its checkpoint
+(``train.load_model``), so only train and transform-exp take --dtype, and
+only train takes --mode.
 
 Every command resolves a RunConfig (defaults < config file < flags), checks
-every value in it (a bad one is a usage error, and nothing is written),
-echoes it to ``<out>/config.ini``, writes its report files into the output
-directory, and prints a short plain-text summary that is also saved as
-``<out>/summary.txt``.  Every file is written atomically, text as UTF-8.
+every value in it and loads and checks its inputs (a bad one is an error,
+and nothing is written), echoes it to ``<out>/config.ini``, writes its
+report files into the output directory, and prints a short plain-text
+summary that is also saved as ``<out>/summary.txt``.  Every file is
+written atomically, text as UTF-8.
 """
 
 from __future__ import annotations
@@ -51,10 +55,8 @@ from .train import (
     STREAM_INIT,
     TrainConfig,
     cross_transfer,
-    load_model_state,
-    load_transform,
+    load_model,
     named_stream,
-    train,
     train_mode_run,
     validate,
     write_cross_transfer_csv,
@@ -80,17 +82,6 @@ def _prepare_out(cfg: RunConfig) -> None:
 def _summary(cfg: RunConfig, lines: list[str]) -> None:
     write_lines(os.path.join(cfg.out, "summary.txt"), lines)
     print("\n".join(lines))
-
-
-def _fresh_model(cfg: RunConfig, args: argparse.Namespace) -> Model:
-    return Model(args.model_cfg, named_stream(cfg.seed, STREAM_INIT),
-                 dtype=_DTYPES[args.dtype], transform_mode=args.mode)
-
-
-def _loaded_model(cfg: RunConfig, args: argparse.Namespace) -> Model:
-    model = _fresh_model(cfg, args)
-    load_model_state(model, args.checkpoint)
-    return model
 
 
 def _check_at_least(name: str, value: int, low: int) -> None:
@@ -143,6 +134,7 @@ def cmd_gen_data(cfg: RunConfig, args: argparse.Namespace) -> None:
     names = cfg.family_list()
     by_name = {s.family: s for s in desk_specs(cfg.grid)}
     specs = [by_name[n] for n in names]
+    _prepare_out(cfg)
     train_ds, test_ds = build_dataset(specs, cfg.n_train, cfg.n_test,
                                       seed=cfg.seed, threads=cfg.threads)
     plan = SamplingPlan.from_specs(specs)
@@ -161,13 +153,13 @@ def cmd_gen_data(cfg: RunConfig, args: argparse.Namespace) -> None:
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> None:
     train_ds, plan = load_dataset(cfg.manifest)
     test_ds = load_dataset(cfg.test_manifest)[0] if cfg.test_manifest else None
-    model = _fresh_model(cfg, args)
-    if args.mode == "frozen":
-        load_transform(model, args.transform_from)
-    result = train(model, train_ds, plan, args.train_cfg,
-                   test_ds=test_ds, out_dir=cfg.out,
-                   checkpoint_every=args.checkpoint_every,
-                   resume_from=args.resume)
+    _prepare_out(cfg)
+    result, _ = train_mode_run(args.model_cfg, args.mode, train_ds, plan,
+                               args.train_cfg, dtype=_DTYPES[args.dtype],
+                               transform_from=args.transform_from,
+                               out_dir=cfg.out, test_ds=test_ds,
+                               checkpoint_every=args.checkpoint_every,
+                               resume_from=args.resume)
     checkpoint = os.path.join(cfg.out, "checkpoint.aotc")
     if not result.metrics:  # the resumed run had already finished
         total = args.train_cfg.epochs * args.train_cfg.steps_per_epoch
@@ -188,7 +180,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> None:
     ds, _ = _eval_dataset(cfg)
-    model = _loaded_model(cfg, args)
+    model = load_model(args.model_cfg, args.checkpoint)
+    _prepare_out(cfg)
     scores = validate(model, ds)
     path = os.path.join(cfg.out, "eval.csv")
     write_lines(path, ["family,l2re"]
@@ -214,7 +207,8 @@ def cmd_rollout(cfg: RunConfig, args: argparse.Namespace) -> None:
         raise UsageError(f"trajectory has {len(traj)} frames; "
                          f"need more than t_in = {t_in}")
     horizon = args.horizon if args.horizon else len(traj) - t_in
-    model = _loaded_model(cfg, args)
+    model = load_model(args.model_cfg, args.checkpoint)
+    _prepare_out(cfg)
     res = rollout(model_predictor(model), traj[:t_in], horizon)
     nc = ds.native_by_family[args.family]
     steps = len(res.frames)
@@ -246,11 +240,13 @@ def cmd_rollout(cfg: RunConfig, args: argparse.Namespace) -> None:
 def cmd_gain(cfg: RunConfig, args: argparse.Namespace) -> None:
     ds, _ = _eval_dataset(cfg)
     if args.checkpoint:
-        model = _loaded_model(cfg, args)
+        model = load_model(args.model_cfg, args.checkpoint)
         origin = f"checkpoint {args.checkpoint}"
     else:
-        model = _fresh_model(cfg, args)
+        model = Model(args.model_cfg, named_stream(cfg.seed, STREAM_INIT),
+                      dtype=np.float32)
         origin = f"fresh initialization (seed {cfg.seed})"
+    _prepare_out(cfg)
     n = min(args.n_probe, len(ds))
     windows = np.stack([ds.trajectories[i][:cfg.t_in] for i in range(n)])
     report = gain_analysis(model, windows)
@@ -266,7 +262,8 @@ def cmd_gain(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 def cmd_probe(cfg: RunConfig, args: argparse.Namespace) -> None:
     ds, _ = _eval_dataset(cfg)
-    model = _loaded_model(cfg, args)
+    model = load_model(args.model_cfg, args.checkpoint)
+    _prepare_out(cfg)
     res = kernel_probe(model, ds)
     path = os.path.join(cfg.out, "probe_features.csv")
     write_probe_features(path, res.features, res.labels)
@@ -287,6 +284,7 @@ def cmd_transform_exp(cfg: RunConfig, args: argparse.Namespace) -> None:
         if name not in ds.families:
             raise UsageError(f"family {name!r} not in dataset; "
                              f"present: {', '.join(ds.families)}")
+    _prepare_out(cfg)
     dtype = _DTYPES[args.dtype]
     primary = names[0]
     sub = family_subset(ds, primary)
@@ -336,12 +334,11 @@ def _add_settings(p: argparse.ArgumentParser, *keys: str) -> None:
 
 def _add_model_flags(p: argparse.ArgumentParser, checkpoint: bool = False) -> None:
     _add_settings(p, "manifest", "test_manifest")
-    p.add_argument("--dtype", choices=sorted(_DTYPES), default="f32",
-                   help="model arithmetic precision")
-    p.add_argument("--mode", choices=TRANSFORM_MODES, default="vanilla",
-                   help="pointwise transform mode")
     if checkpoint:
         p.add_argument("--checkpoint", help="model checkpoint to load")
+    else:
+        p.add_argument("--dtype", choices=sorted(_DTYPES), default="f32",
+                       help="model arithmetic precision")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,6 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a manifest")
     _add_model_flags(p)
     _add_settings(p, "epochs", "steps_per_epoch", "batch", "peak_lr", "noise")
+    p.add_argument("--mode", choices=TRANSFORM_MODES, default="vanilla",
+                   help="pointwise transform mode")
     p.add_argument("--transform-from", dest="transform_from",
                    help="checkpoint supplying frozen transform tensors")
     p.add_argument("--resume", help="checkpoint to resume from")
@@ -387,8 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform-exp",
                        help="vanilla/learned/frozen comparison on the first "
                             "of --families, and cross-family transfer")
-    _add_settings(p, "manifest", "test_manifest")
-    p.add_argument("--dtype", choices=sorted(_DTYPES), default="f32")
+    _add_model_flags(p)
     _add_settings(p, "families", "epochs", "steps_per_epoch", "batch", "peak_lr")
 
     return parser
@@ -415,7 +413,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(args.config, _flag_overrides(args))
         args.model_cfg, args.train_cfg = _checked_configs(cfg)
         _check_flags(cfg, args)
-        _prepare_out(cfg)
         _HANDLERS[args.command](cfg, args)
         return 0
     except UsageError as exc:

@@ -22,7 +22,7 @@ from .container import write_atomic, write_lines
 from .data import SamplingPlan, TrajectoryDataset, family_subset, sample_batch
 from .diagnostics import l2re
 from .errors import FormatError, NumericOverflowError, ShapeError
-from .model import Model, ModelConfig
+from .model import LinearTransformPair, Model, ModelConfig
 
 # named randomness streams derived from the single config seed
 STREAM_DATA = 0
@@ -225,6 +225,10 @@ class AdamW:
                 for kind, store in (("m", self.m), ("v", self.v))}
 
     def load_state_blocks(self, blocks: dict, t: int) -> None:
+        extra = set(blocks) - {f"{name}.{kind}" for name in self.params
+                               for kind in ("m", "v")}
+        if extra:
+            raise FormatError(f"optimizer blocks name no parameter: {sorted(extra)}")
         for name, p in self.params.items():
             for kind, store in (("m", self.m), ("v", self.v)):
                 store[name][...] = _checked_array(blocks, f"{name}.{kind}", p.data,
@@ -267,6 +271,22 @@ def _copy_tensors(named: dict, arrays: dict, what: str) -> None:
         t.data = _checked_array(arrays, name, t.data, what, "model")
 
 
+def _one_dtype(arrays: dict) -> np.dtype:
+    """The dtype that every checkpoint array in ``arrays`` shares."""
+    dtypes = {arr.dtype for arr in arrays.values()}
+    if len(dtypes) == 1:
+        return dtypes.pop()
+    raise FormatError(f"checkpoint tensors need one dtype, "
+                      f"got {sorted(map(str, dtypes))}")
+
+
+def _holds_identity_transform(tensors: dict, channels: int) -> bool:
+    """Whether the ``transform.*`` arrays are exactly the identity pair a
+    fresh ``LinearTransformPair(channels)`` holds."""
+    return all(np.array_equal(tensors.get(name), t.data) for name, t in
+               LinearTransformPair(channels).named("transform").items())
+
+
 def _assign_model_tensors(model, ckpt) -> None:
     if ckpt.config_hash != config_hash(model.cfg):
         raise FormatError("checkpoint config hash does not match the model; "
@@ -277,6 +297,10 @@ def _assign_model_tensors(model, ckpt) -> None:
     if missing or extra:
         raise FormatError(f"checkpoint tensor names disagree with the model "
                           f"(missing {sorted(missing)}, extra {sorted(extra)})")
+    if (not model.transform.active
+            and not _holds_identity_transform(ckpt.tensors, model.cfg.channels)):
+        raise FormatError("checkpoint transform is not the identity pair, "
+                          "which a vanilla model bypasses")
     _copy_tensors(named, ckpt.tensors, "tensor")
 
 
@@ -287,10 +311,29 @@ def load_model_state(model, path: str) -> int:
     return ckpt.step
 
 
+def load_model(model_cfg: ModelConfig, path: str) -> Model:
+    """The model a checkpoint holds, at the one dtype of its tensors.  Its
+    transform is bypassed (vanilla) when the checkpoint holds the identity
+    pair, and applied without gradients (frozen) otherwise."""
+    ckpt = load_checkpoint(path)
+    mode = ("vanilla" if _holds_identity_transform(ckpt.tensors, model_cfg.channels)
+            else "frozen")
+    # every tensor is overwritten, so the init stream does not matter
+    model = Model(model_cfg, named_stream(0, STREAM_INIT),
+                  dtype=_one_dtype(ckpt.tensors).type, transform_mode=mode)
+    _assign_model_tensors(model, ckpt)
+    return model
+
+
 def restore_training_checkpoint(path: str, model, opt: AdamW,
                                 data_rng, noise_rng) -> int:
-    """Load parameters, moments, and rng streams; returns the saved step."""
+    """Load parameters, moments, and rng streams; returns the saved step.
+    A checkpoint of another dtype than the model's is refused, not cast."""
     ckpt = load_checkpoint(path)
+    dtype = _one_dtype({**ckpt.tensors, **ckpt.opt_tensors})
+    if dtype != model.dtype:
+        raise FormatError(f"checkpoint tensors are {dtype}, "
+                          f"the model is {np.dtype(model.dtype)}")
     _assign_model_tensors(model, ckpt)
     opt.load_state_blocks(ckpt.opt_tensors, ckpt.step)
     for key, rng in (("data", data_rng), ("noise", noise_rng)):
@@ -471,13 +514,14 @@ def train_mode_run(model_cfg: ModelConfig, mode: str,
                    train_ds: TrajectoryDataset, plan: SamplingPlan,
                    cfg: TrainConfig, dtype=np.float64,
                    transform_from: str | None = None,
-                   out_dir: str | None = None):
+                   out_dir: str | None = None, **train_kwargs):
     """Train a freshly initialized model in one of the three transform modes.
 
     vanilla: the pointwise pair is bypassed and untrained.  learned: applied
     and trained jointly.  frozen: applied, loaded from ``transform_from``,
     and gradient-suppressed while the re-initialized backbone trains.
-    Returns (TrainResult, model).
+    ``train_kwargs`` (``test_ds``, ``checkpoint_every``, ``resume_from``)
+    pass on to ``train``.  Returns (TrainResult, model).
     """
     if mode == "frozen" and transform_from is None:
         raise ValueError("frozen mode needs a transform_from checkpoint")
@@ -485,7 +529,7 @@ def train_mode_run(model_cfg: ModelConfig, mode: str,
     model = Model(model_cfg, init_rng, dtype=dtype, transform_mode=mode)
     if mode == "frozen":
         load_transform(model, transform_from)
-    result = train(model, train_ds, plan, cfg, out_dir=out_dir)
+    result = train(model, train_ds, plan, cfg, out_dir=out_dir, **train_kwargs)
     return result, model
 
 

@@ -78,6 +78,35 @@ def trained(tmp_path_factory, tiny_ini):
     return out
 
 
+@pytest.fixture(scope="module")
+def mode_run(tmp_path_factory, tiny_ini):
+    """The output directory of a tiny train run at a dtype and mode, trained
+    on first use; a frozen run takes the learned run's transform."""
+    runs = {}
+
+    def get(dtype, mode):
+        if (dtype, mode) not in runs:
+            source = (("--transform-from", get(dtype, "learned") / "checkpoint.aotc")
+                      if mode == "frozen" else ())
+            out = tmp_path_factory.mktemp(f"{dtype}-{mode}")
+            assert run("--config", tiny_ini, "--seed", 4, "--out", out, "train",
+                       "--dtype", dtype, "--mode", mode, *source) == 0
+            runs[dtype, mode] = out
+        return runs[dtype, mode]
+    return get
+
+
+@pytest.fixture(scope="module")
+def heat_manifest(corpus, tmp_path_factory):
+    """A manifest of the corpus's heat training trajectories only."""
+    text = (corpus / "train_manifest.tsv").read_text()
+    rows = [ln.split("\t") for ln in text.split("\n") if ln]
+    manifest = tmp_path_factory.mktemp("heat") / "heat.tsv"
+    manifest.write_text("".join(f"{corpus / rel}\t{fam}\t{w}\n"
+                                for rel, fam, w in rows if fam == "heat"))
+    return manifest
+
+
 # ---------------------------------------------------------------------
 # gen-data
 # ---------------------------------------------------------------------
@@ -263,10 +292,6 @@ def test_train_frozen_keeps_the_loaded_transform_bits(tiny_ini, tmp_path):
         np.testing.assert_array_equal(frozen[k], learned[k])
 
 
-def test_train_without_manifest_is_usage_error(tmp_path):
-    assert run("--out", tmp_path, "train") == 1
-
-
 @pytest.mark.parametrize("weight", ["nan", "inf"])
 def test_train_on_non_finite_manifest_weight_exits_two(corpus, tmp_path, capsys,
                                                        weight):
@@ -293,8 +318,56 @@ def test_eval_reproduces_final_validation(tiny_ini, trained, tmp_path):
         assert text == vals[f"{fam}_l2re"], fam
 
 
-def test_eval_needs_checkpoint_flag(tiny_ini, tmp_path):
-    assert run("--config", tiny_ini, "--out", tmp_path, "eval") == 1
+@pytest.mark.parametrize("mode", ["vanilla", "learned", "frozen"])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_eval_follows_the_checkpoint_precision_and_transform(
+        tiny_ini, mode_run, tmp_path, dtype, mode):
+    """eval on a run's final checkpoint writes the last metrics row's
+    L2RE of every family, bit for bit, whatever the run's dtype and mode."""
+    trained = mode_run(dtype, mode)
+    assert run("--config", tiny_ini, "--out", tmp_path, "eval",
+               "--checkpoint", trained / "checkpoint.aotc") == 0
+    rows = (tmp_path / "eval.csv").read_text().strip().split("\n")[1:]
+    metrics = (trained / "metrics.csv").read_text().strip().split("\n")
+    last = dict(zip(metrics[0].split(","), metrics[-1].split(",")))
+    assert [row.split(",")[1] for row in rows] == [
+        last[f"{row.split(',')[0]}_l2re"] for row in rows]
+    assert len(rows) == 3
+
+
+@pytest.mark.parametrize("resumed_as,flags,message", [
+    (("f32", "learned"), ("--mode", "vanilla"),
+     "transform is not the identity pair, which a vanilla model bypasses"),
+    (("f32", "learned"), ("--mode", "frozen", "--transform-from", "{ckpt}"),
+     "optimizer blocks name no parameter: ['transform.b_in.m'"),
+    (("f64", "vanilla"), ("--dtype", "f32"),
+     "checkpoint tensors are float64, the model is float32"),
+], ids=["learned-as-vanilla", "learned-as-frozen", "f64-at-f32"])
+def test_resume_that_disagrees_with_its_checkpoint_is_refused(
+        tiny_ini, mode_run, tmp_path, capsys, resumed_as, flags, message):
+    """A resume in another mode or at another dtype than its checkpoint's
+    would continue off the unbroken run's trace, so it is refused."""
+    ckpt = mode_run(*resumed_as) / "checkpoint.aotc"
+    code = run("--config", tiny_ini, "--seed", 4, "--out", tmp_path / "o",
+               "train", "--resume", ckpt, "--epochs", 3, "--dtype", resumed_as[0],
+               *[str(f).format(ckpt=ckpt) for f in flags])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--dtype", "f64"),
+    ("rollout", "--family", "heat", "--mode", "learned"),
+    ("gain", "--dtype", "f32"),
+    ("probe", "--mode", "vanilla"),
+], ids=["eval-dtype", "rollout-mode", "gain-dtype", "probe-mode"])
+def test_commands_that_load_a_checkpoint_take_no_dtype_or_mode(
+        tiny_ini, trained, tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # a command that wrongly runs writes here
+    assert run("--config", tiny_ini, "--out", tmp_path / "out", *argv,
+               "--checkpoint", trained / "checkpoint.aotc") == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_eval_config_hash_mismatch_is_runtime_error(trained, corpus, tmp_path,
@@ -427,6 +500,20 @@ def test_rollout_needs_more_frames_than_t_in(tiny_ini, trained, corpus, tmp_path
                "--checkpoint", trained / "checkpoint.aotc",
                "--family", "heat") == 1
     assert f"need more than t_in = {frames}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--family", "ns_vorticity"),
+     "family 'ns_vorticity' not in dataset; present: heat"),
+    (("--family", "heat", "--index", 9), "--index 9 out of range [0, 6) for heat"),
+], ids=["family-not-in-corpus", "index-out-of-range"])
+def test_rollout_of_a_trajectory_the_corpus_lacks_writes_nothing(
+        heat_manifest, trained, tmp_path, capsys, argv, message):
+    assert run("--out", tmp_path / "o", "rollout", "--test-manifest", heat_manifest,
+               "--checkpoint", trained / "checkpoint.aotc", *argv) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 TINY_GEN = ("gen-data", "--grid", 8, "--n-train", 1, "--n-test", 1)
@@ -547,15 +634,12 @@ def test_transform_exp_artifacts(tiny_ini, tmp_path):
         assert (tmp_path / run_dir / "checkpoint.aotc").exists()
 
 
-def test_transform_exp_family_missing_from_manifest(corpus, tmp_path, capsys):
-    text = (corpus / "train_manifest.tsv").read_text()
-    rows = [ln.split("\t") for ln in text.split("\n") if ln]
-    manifest = tmp_path / "heat.tsv"
-    manifest.write_text("".join(f"{corpus / rel}\t{fam}\t{w}\n"
-                                for rel, fam, w in rows if fam == "heat"))
-    assert run("--out", tmp_path / "o", "transform-exp", "--manifest", manifest,
-               "--families", "heat,ns_vorticity") == 1
+def test_transform_exp_family_missing_from_manifest(heat_manifest, tmp_path,
+                                                    capsys):
+    assert run("--out", tmp_path / "o", "transform-exp", "--manifest",
+               heat_manifest, "--families", "heat,ns_vorticity") == 1
     assert "'ns_vorticity' not in dataset" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_transform_exp_trains_each_run_once(tiny_ini, tmp_path, monkeypatch):

@@ -24,6 +24,7 @@ from aotlab.train import (
     cross_transfer,
     denoising_loss,
     inject_noise,
+    load_model,
     load_model_state,
     load_transform,
     named_stream,
@@ -657,6 +658,14 @@ def restore(model, path):
                                 named_stream(0, 0), named_stream(0, 2))
 
 
+def load_model_of(model, path):
+    load_model(model.cfg, path)
+
+
+def as_f32(arrays):
+    arrays.update({k: v.astype(np.float32) for k, v in arrays.items()})
+
+
 @pytest.mark.parametrize("load,edit,match", [
     (load_transform, lambda t, o: t.pop("transform.w_in"),
      "lacks transform tensor 'transform.w_in'"),
@@ -671,6 +680,16 @@ def restore(model, path):
      "lacks optimizer block 'head.w.m'"),
     (restore, lambda t, o: o.update({"head.b.v": np.zeros(3)}),
      r"optimizer block 'head.b.v' shape \(3,\) vs parameter shape"),
+    (restore, lambda t, o: o.update({"extra.w.m": np.zeros(2)}),
+     r"optimizer blocks name no parameter: \['extra.w.m'\]"),
+    (restore, lambda t, o: t.update({"transform.b_in": np.ones(1)}),
+     "transform is not the identity pair, which a vanilla model bypasses"),
+    (load_model_state, lambda t, o: t.update({"transform.w_out": -t["transform.w_out"]}),
+     "transform is not the identity pair, which a vanilla model bypasses"),
+    (restore, lambda t, o: (as_f32(t), as_f32(o)),
+     "checkpoint tensors are float32, the model is float64"),
+    (load_model_of, lambda t, o: t.update({"head.b": t["head.b"].astype(np.float32)}),
+     r"checkpoint tensors need one dtype, got \['float32', 'float64'\]"),
 ])
 def test_model_loaders_name_the_bad_tensor(tmp_path, load, edit, match):
     model = tiny_model()
@@ -681,6 +700,31 @@ def test_model_loaders_name_the_bad_tensor(tmp_path, load, edit, match):
     save_checkpoint(path, config_hash(model.cfg), 0, tensors, opt_blocks, {})
     with pytest.raises(FormatError, match=match):
         load(model, path)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode,loaded_as", [("vanilla", "vanilla"),
+                                            ("learned", "frozen")])
+def test_load_model_follows_the_checkpoint(tmp_path, heat_corpus, dtype, mode,
+                                           loaded_as):
+    """``load_model`` builds the model at the checkpoint's dtype, bypasses
+    an identity transform and applies a trained one, so it predicts what
+    the trained model predicts, bit for bit."""
+    train_ds, test_ds, plan = heat_corpus
+    cfg = TrainConfig(epochs=1, steps_per_epoch=4, batch=2, warmup_epochs=0,
+                      seed=3)
+    trained = tiny_model(seed=3, dtype=dtype, mode=mode)
+    res = train(trained, train_ds, plan, cfg, out_dir=str(tmp_path))
+    model = load_model(tiny_cfg(), res.checkpoint_path)
+    assert model.dtype == dtype and model.transform.mode == loaded_as
+    assert not any(t.requires_grad for k, t in model.named().items()
+                   if k.startswith("transform."))
+    for k, t in trained.named().items():
+        assert model.named()[k].data.dtype == dtype
+        np.testing.assert_array_equal(model.named()[k].data, t.data)
+    window = test_ds.trajectories[0][None, :3]
+    np.testing.assert_array_equal(model.forward(window).data,
+                                  trained.forward(window).data)
 
 
 def test_frozen_transform_is_bit_frozen(tmp_path, heat_corpus):

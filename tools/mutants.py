@@ -41,8 +41,11 @@ flipped decay sign, a moment written to a copy instead of the buffer, a
 missing gradient taken as ones, the clip's scale not applied or applied
 only after the moments, parameters of mixed dtypes accepted, an update
 never bound to the parameters, loaded moments that replace the views
-instead of filling them, a clip-norm sum one element short, and a None
-gradient counted in the norm as ones.  One more in ``autodiff.py`` keeps strided
+instead of filling them, a clip-norm sum one element short, a None
+gradient counted in the norm as ones, and loaded optimizer blocks that
+name no parameter accepted; and they break ``load_model``, which builds
+the model a checkpoint holds: one ignores the checkpoint's precision, one
+applies an identity transform that a vanilla checkpoint bypasses.  One more in ``autodiff.py`` keeps strided
 gradients uncopied in ``Tape.backward``.  The mutants of ``model.py`` run
 a window of another dtype without casting it to the model's precision,
 and build the mixers without the configured activation.  The mutant of
@@ -246,6 +249,14 @@ MUTANTS = {AUTODIFF: [
     ("clip_gradients: a None gradient counted as ones",
      "present = [g for g in grads.values() if g is not None]",
      "present = [np.ones(1) if g is None else g for g in grads.values()]"),
+    ("load_state_blocks: extra blocks accepted", "        if extra:\n"
+     "            raise FormatError(f\"optimizer blocks name no parameter",
+     "        if False:\n"
+     "            raise FormatError(f\"optimizer blocks name no parameter"),
+    ("load_model: precision ignored", "dtype=_one_dtype(ckpt.tensors).type, ", ""),
+    ("load_model: identity transform taken as active",
+     '("vanilla" if _holds_identity_transform(ckpt.tensors, model_cfg.channels)',
+     '("frozen" if _holds_identity_transform(ckpt.tensors, model_cfg.channels)'),
 ], MODEL: [
     ("Model: window not cast to the model's dtype",
      "Tensor(u.data if isinstance(u, Tensor) else u, dtype=self.dtype)",
