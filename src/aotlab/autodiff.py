@@ -15,47 +15,38 @@ out by the caller in real arithmetic.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
 from .errors import ShapeError
 
-_tls = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = _tls.stack = []
-    return stack
+_tapes: list = []  # the open tapes, innermost last
 
 
 def active_tape():
-    """The innermost open Tape on this thread, or None."""
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    """The innermost open Tape, or None."""
+    return _tapes[-1] if _tapes else None
 
 
 class Tape:
     """Ordered record of primitive operations for one forward pass.
 
-    Single-owner and single-threaded: concurrent forward passes must use
-    separate tapes.
+    Single-owner and single-threaded: the stack of open tapes is one per
+    process, so no tape may be open while another thread runs a forward
+    pass.
     """
 
     def __init__(self):
         self._nodes = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
+        if active_tape() is not self:
             raise RuntimeError("tape stack corrupted: exiting a tape that is not innermost")
-        stack.pop()
+        _tapes.pop()
         return False
 
     def __len__(self) -> int:

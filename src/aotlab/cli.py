@@ -11,12 +11,14 @@ A loaded model takes its precision and transform from its checkpoint
 (``train.load_model``), so only train and transform-exp take --dtype, and
 only train takes --mode.
 
-Every command resolves a RunConfig (defaults < config file < flags), checks
-every value in it and loads and checks its inputs (a bad one is an error,
-and nothing is written), echoes it to ``<out>/config.ini``, writes its
-report files into the output directory, and prints a short plain-text
-summary that is also saved as ``<out>/summary.txt``.  Every file is
-written atomically, text as UTF-8.
+Every command resolves a RunConfig (defaults < config file < flags),
+checks its [train], [data] and [run] values and its flags, and loads and
+checks its inputs; one that builds a model takes the grid and channel
+count from its corpus, and then checks the [model] values.  A bad value or
+input is an error, and nothing is written.  Only then does it echo the
+RunConfig to ``<out>/config.ini``, write its report files into the output
+directory, and print a short plain-text summary, also saved as
+``<out>/summary.txt``.  Every file is written atomically, text as UTF-8.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import sys
 
 import numpy as np
 
+from .checkpoint import load_checkpoint
 from .config import SECTION_OF, RunConfig, resolve_config, write_config
 from .container import write_lines
 from .data import (
@@ -53,7 +56,6 @@ from .errors import FormatError, NumericOverflowError, ShapeError, UsageError
 from .model import TRANSFORM_MODES, Model, ModelConfig
 from .train import (
     STREAM_INIT,
-    TrainConfig,
     cross_transfer,
     load_model,
     named_stream,
@@ -89,23 +91,27 @@ def _check_at_least(name: str, value: int, low: int) -> None:
         raise UsageError(f"{name} must be at least {low}, got {value}")
 
 
-def _checked_configs(cfg: RunConfig) -> tuple[ModelConfig, TrainConfig]:
-    """Check every run setting, so a bad value stops any command before
-    it writes a file."""
-    for key in ("threads", "grid", "n_train", "n_test"):
-        _check_at_least(key, getattr(cfg, key), 1)
-    try:
-        return cfg.model_config(), cfg.train_config()
-    except ValueError as exc:
-        raise UsageError(f"bad config: {exc}") from exc
+def _model_config(cfg: RunConfig, *datasets) -> ModelConfig:
+    """The run's ModelConfig on the grid and channel count that every
+    given corpus (None: none) shares."""
+    shapes = [(ds.trajectories[0].shape[1:3], ds.c_max)
+              for ds in datasets if ds is not None]
+    if len(set(shapes)) > 1:
+        raise FormatError("the corpora disagree: " + " vs ".join(
+            f"(grid {h}x{w}, channels {c})" for (h, w), c in shapes))
+    (height, width), channels = shapes[0]
+    return cfg.model_config(height, width, channels)
 
 
 def _check_flags(cfg: RunConfig, args: argparse.Namespace) -> None:
-    """Check the command flags that RunConfig does not hold, and that the
-    files the command reads are named, before the command writes anything."""
+    """Check the sizes in [data] and [run], the command flags that
+    RunConfig does not hold, and that the files the command reads are
+    named, before the command writes anything."""
+    for key in ("threads", "grid", "n_train", "n_test"):
+        _check_at_least(key, getattr(cfg, key), 1)
     command = args.command
-    if command == "train" and args.mode == "frozen" and not args.transform_from:
-        raise UsageError("--mode frozen requires --transform-from CHECKPOINT")
+    if command == "train" and (args.mode == "frozen") != bool(args.transform_from):
+        raise UsageError("--mode frozen and --transform-from CHECKPOINT go together")
     for flag, low in (("checkpoint_every", 0), ("horizon", 0), ("n_probe", 1)):
         if hasattr(args, flag):
             _check_at_least("--" + flag.replace("_", "-"), getattr(args, flag), low)
@@ -123,7 +129,7 @@ def _check_flags(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def _eval_dataset(cfg: RunConfig):
-    return load_dataset(cfg.test_manifest or cfg.manifest)
+    return load_dataset(cfg.test_manifest or cfg.manifest)[0]
 
 
 # ---------------------------------------------------------------------
@@ -153,8 +159,11 @@ def cmd_gen_data(cfg: RunConfig, args: argparse.Namespace) -> None:
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> None:
     train_ds, plan = load_dataset(cfg.manifest)
     test_ds = load_dataset(cfg.test_manifest)[0] if cfg.test_manifest else None
+    model_cfg = _model_config(cfg, train_ds, test_ds)
+    for path in filter(None, (args.resume, args.transform_from)):
+        load_checkpoint(path)  # an unreadable one stops the run before the echo
     _prepare_out(cfg)
-    result, _ = train_mode_run(args.model_cfg, args.mode, train_ds, plan,
+    result, _ = train_mode_run(model_cfg, args.mode, train_ds, plan,
                                args.train_cfg, dtype=_DTYPES[args.dtype],
                                transform_from=args.transform_from,
                                out_dir=cfg.out, test_ds=test_ds,
@@ -179,8 +188,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> None:
-    ds, _ = _eval_dataset(cfg)
-    model = load_model(args.model_cfg, args.checkpoint)
+    ds = _eval_dataset(cfg)
+    model = load_model(_model_config(cfg, ds), args.checkpoint)
     _prepare_out(cfg)
     scores = validate(model, ds)
     path = os.path.join(cfg.out, "eval.csv")
@@ -193,7 +202,7 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_rollout(cfg: RunConfig, args: argparse.Namespace) -> None:
-    ds, _ = _eval_dataset(cfg)
+    ds = _eval_dataset(cfg)
     if args.family not in ds.families:
         raise UsageError(f"family {args.family!r} not in dataset; "
                          f"present: {', '.join(ds.families)}")
@@ -207,7 +216,7 @@ def cmd_rollout(cfg: RunConfig, args: argparse.Namespace) -> None:
         raise UsageError(f"trajectory has {len(traj)} frames; "
                          f"need more than t_in = {t_in}")
     horizon = args.horizon if args.horizon else len(traj) - t_in
-    model = load_model(args.model_cfg, args.checkpoint)
+    model = load_model(_model_config(cfg, ds), args.checkpoint)
     _prepare_out(cfg)
     res = rollout(model_predictor(model), traj[:t_in], horizon)
     nc = ds.native_by_family[args.family]
@@ -238,12 +247,13 @@ def cmd_rollout(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_gain(cfg: RunConfig, args: argparse.Namespace) -> None:
-    ds, _ = _eval_dataset(cfg)
+    ds = _eval_dataset(cfg)
+    model_cfg = _model_config(cfg, ds)
     if args.checkpoint:
-        model = load_model(args.model_cfg, args.checkpoint)
+        model = load_model(model_cfg, args.checkpoint)
         origin = f"checkpoint {args.checkpoint}"
     else:
-        model = Model(args.model_cfg, named_stream(cfg.seed, STREAM_INIT),
+        model = Model(model_cfg, named_stream(cfg.seed, STREAM_INIT),
                       dtype=np.float32)
         origin = f"fresh initialization (seed {cfg.seed})"
     _prepare_out(cfg)
@@ -261,8 +271,8 @@ def cmd_gain(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_probe(cfg: RunConfig, args: argparse.Namespace) -> None:
-    ds, _ = _eval_dataset(cfg)
-    model = load_model(args.model_cfg, args.checkpoint)
+    ds = _eval_dataset(cfg)
+    model = load_model(_model_config(cfg, ds), args.checkpoint)
     _prepare_out(cfg)
     res = kernel_probe(model, ds)
     path = os.path.join(cfg.out, "probe_features.csv")
@@ -284,12 +294,12 @@ def cmd_transform_exp(cfg: RunConfig, args: argparse.Namespace) -> None:
         if name not in ds.families:
             raise UsageError(f"family {name!r} not in dataset; "
                              f"present: {', '.join(ds.families)}")
+    mcfg, tcfg = _model_config(cfg, ds), args.train_cfg
     _prepare_out(cfg)
     dtype = _DTYPES[args.dtype]
     primary = names[0]
     sub = family_subset(ds, primary)
     plan = SamplingPlan({primary: 1.0})
-    mcfg, tcfg = args.model_cfg, args.train_cfg
     finals = {}
     learned = os.path.join(cfg.out, "learned", "checkpoint.aotc")
     for mode in TRANSFORM_MODES:
@@ -411,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if not exc.code else 1
     try:
         cfg = resolve_config(args.config, _flag_overrides(args))
-        args.model_cfg, args.train_cfg = _checked_configs(cfg)
+        args.train_cfg = cfg.train_config()
         _check_flags(cfg, args)
         _HANDLERS[args.command](cfg, args)
         return 0

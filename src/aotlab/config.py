@@ -1,17 +1,18 @@
 """Run configuration: defaults, config-file overrides, and flag overrides.
 
 A run is described by one flat dataclass, ``RunConfig``, whose fields come
-in four ``[section]``s: ``[model]`` holds the fields of ``ModelConfig`` and
-``[train]`` those of ``TrainConfig`` except ``seed``, each with the name,
-type and default declared there; ``[data]`` (dataset layout) and ``[run]``
-(output directory, ``seed``, thread count) are declared here.  Values
-resolve in fixed priority order: built-in defaults, then the config file,
-then command-line flags.  A flag hands over its text as the file does, and
+in four ``[section]``s: ``[model]`` holds the fields of ``ModelConfig``
+but the grid and channel count, which the corpus fixes, and ``[train]``
+those of ``TrainConfig`` but ``seed``, each with the name, type and
+default declared there; ``[data]`` (dataset layout) and ``[run]`` (output
+directory, ``seed``, thread count) are declared here.  Values resolve in
+fixed priority order: built-in defaults, then the config file, then
+command-line flags.  A flag hands over its text as the file does, and
 ``_coerce`` alone parses both.  Resolving checks only that every key is
-known and every value parses as its field's type; ``model_config()`` and
-``train_config()`` check the values themselves.  The fully resolved
-configuration is echoed to the output directory in the same format it is
-read from, so an echo can be fed back as a config file to reproduce the run.
+known and every value parses as its field's type; ``model_config`` and
+``train_config`` check the values, raising UsageError.  The resolved
+configuration is echoed to the output directory in the format it is read
+from, so an echo can be fed back as a config file to reproduce the run.
 
 The file format is flat ``key = value`` pairs under ``[section]`` headers;
 ``none`` (or an empty value) sets an optional field to None.
@@ -47,7 +48,8 @@ _SEED = _TRAIN.pop("seed")
 
 # section -> (name, type, default) of each key, in file order
 _FIELDS: dict[str, list[tuple]] = {
-    "model": list(_specs(ModelConfig).values()),
+    "model": [spec for key, spec in _specs(ModelConfig).items()
+              if key not in ("height", "width", "channels")],
     "train": list(_TRAIN.values()),
     "data": [("root", "str", "data"), ("manifest", "str", ""),
              ("test_manifest", "str", ""), ("n_train", "int", 64),
@@ -61,17 +63,21 @@ SECTION_OF = {key: sec for sec, keys in _SECTIONS.items() for key in keys}
 _PARSERS = {"int": int, "float": float, "str": str}
 
 
-def _pick(cls, cfg):
-    return cls(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls)})
+def _pick(cls, cfg, **given):
+    try:
+        return cls(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls)
+                      if f.name not in given}, **given)
+    except ValueError as exc:
+        raise UsageError(f"bad config: {exc}") from exc
 
 
 class _RunMethods:
-    def model_config(self) -> ModelConfig:
-        """The run's ModelConfig; its constructor checks the values."""
-        return _pick(ModelConfig, self)
+    def model_config(self, height: int, width: int, channels: int) -> ModelConfig:
+        """The run's ModelConfig on a corpus of this grid and channel count."""
+        return _pick(ModelConfig, self, height=height, width=width, channels=channels)
 
     def train_config(self) -> TrainConfig:
-        """The run's TrainConfig; its constructor checks the values."""
+        """The run's TrainConfig."""
         return _pick(TrainConfig, self)
 
     def family_list(self) -> list[str]:

@@ -288,9 +288,11 @@ def _holds_identity_transform(tensors: dict, channels: int) -> bool:
 
 
 def _assign_model_tensors(model, ckpt) -> None:
-    if ckpt.config_hash != config_hash(model.cfg):
-        raise FormatError("checkpoint config hash does not match the model; "
-                          "was it written for a different configuration?")
+    cfg = model.cfg
+    if ckpt.config_hash != config_hash(cfg):
+        raise FormatError(f"checkpoint config hash does not match the model (grid "
+                          f"{cfg.height}x{cfg.width}, channels {cfg.channels}); "
+                          "was it written for another configuration or corpus?")
     named = model.named()
     missing = set(named) - set(ckpt.tensors)
     extra = set(ckpt.tensors) - set(named)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aotlab.autodiff import Tensor
-from aotlab.checkpoint import load_checkpoint, save_checkpoint
+from aotlab.checkpoint import config_hash, load_checkpoint, save_checkpoint
 from aotlab.cli import main
 from aotlab.config import RunConfig, resolve_config, write_config
 from aotlab.data import load_trajectory, trajectory_crc
@@ -17,9 +17,6 @@ from aotlab.train import STREAM_INIT, TrainConfig, named_stream
 
 TINY_MODEL = """\
 [model]
-height = 8
-width = 8
-channels = 2
 t_in = 3
 patch = 4
 d_z = 8
@@ -107,6 +104,17 @@ def heat_manifest(corpus, tmp_path_factory):
     return manifest
 
 
+@pytest.fixture(scope="module")
+def heat16(tmp_path_factory):
+    """A heat-only corpus on a 16x16 grid: one channel, not the tiny
+    config's 8x8 grid and two channels."""
+    root = tmp_path_factory.mktemp("heat16")
+    assert run("--out", root / "gen", "gen-data", "--root", root / "data",
+               "--grid", 16, "--families", "heat",
+               "--n-train", 2, "--n-test", 1) == 0
+    return root / "data"
+
+
 # ---------------------------------------------------------------------
 # gen-data
 # ---------------------------------------------------------------------
@@ -159,7 +167,7 @@ def test_gen_data_invalid_family_is_usage_error(tmp_path, capsys):
 
 def test_run_config_defaults_mirror_component_defaults():
     cfg = RunConfig()
-    assert cfg.model_config() == ModelConfig()
+    assert cfg.model_config(32, 32, 2) == ModelConfig()
     assert cfg.train_config() == TrainConfig()
 
 
@@ -171,7 +179,7 @@ def test_flags_override_file_values(tiny_ini, tmp_path):
     assert echoed.seed == 9
     assert echoed.epochs == 3
     assert echoed.steps_per_epoch == 2
-    assert echoed.height == 8  # file value survives where no flag given
+    assert echoed.d_z == 8  # file value survives where no flag given
 
 
 @pytest.mark.parametrize("body", [
@@ -207,9 +215,6 @@ def test_config_echo_is_utf8_and_refeeds(tmp_path):
 DEFAULT_ECHO = """\
 # resolved run configuration
 [model]
-height = 32
-width = 32
-channels = 2
 t_in = 10
 patch = 8
 d_z = 64
@@ -274,6 +279,68 @@ def test_train_emits_artifacts(trained):
     header = (trained / "metrics.csv").read_text().split("\n")[0]
     assert header == ("epoch,step,lr,train_loss,diffusion_reaction_l2re,"
                       "heat_l2re,ns_vorticity_l2re")
+
+
+def test_train_takes_grid_and_channels_from_the_corpus(heat16, tmp_path):
+    """No config key sets the grid or the channel count: a 16x16 heat
+    corpus trains the model of that grid with one channel."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(TINY_MODEL + f"\n[data]\nmanifest = {heat16}/train_manifest.tsv\n"
+                   f"test_manifest = {heat16}/test_manifest.tsv\n")
+    assert run("--config", ini, "--seed", 5, "--out", tmp_path / "o", "train") == 0
+    want = ModelConfig(height=16, width=16, channels=1, t_in=3, patch=4, d_z=8,
+                       heads=2, modes=1, blocks=1, streams=2)
+    ckpt = load_checkpoint(str(tmp_path / "o" / "checkpoint.aotc"))
+    assert ckpt.config_hash == config_hash(want)
+
+
+@pytest.mark.parametrize("pair", ["grid", "channels"])
+def test_train_on_disagreeing_corpora_writes_nothing(
+        tiny_ini, corpus, heat16, heat_manifest, tmp_path, capsys, monkeypatch, pair):
+    """A train corpus and a test corpus of different grids, or of different
+    channel counts (heat alone has one), fit no one model."""
+    monkeypatch.chdir(tmp_path)  # a command that wrongly runs writes here
+    train, test = {"grid": (corpus / "train_manifest.tsv",
+                            heat16 / "test_manifest.tsv"),
+                   "channels": (heat_manifest, corpus / "test_manifest.tsv")}[pair]
+    assert run("--config", tiny_ini, "--out", tmp_path / "o", "train",
+               "--manifest", train, "--test-manifest", test) == 2
+    want = {"grid": "(grid 8x8, channels 2) vs (grid 16x16, channels 1)",
+            "channels": "(grid 8x8, channels 1) vs (grid 8x8, channels 2)"}[pair]
+    assert f"the corpora disagree: {want}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval",), ("rollout", "--family", "heat"), ("probe",), ("gain",),
+], ids=["eval", "rollout", "probe", "gain"])
+def test_checkpoint_on_a_corpus_of_another_grid_writes_nothing(
+        tiny_ini, trained, heat16, tmp_path, capsys, monkeypatch, argv):
+    """The corpus fixes the model's grid and channels, so an 8x8 checkpoint
+    does not load for a 16x16 corpus, and the refusal names both."""
+    monkeypatch.chdir(tmp_path)  # a command that wrongly runs writes here
+    assert run("--config", tiny_ini, "--out", tmp_path / "o", *argv,
+               "--test-manifest", heat16 / "test_manifest.tsv",
+               "--checkpoint", trained / "checkpoint.aotc") == 2
+    assert ("does not match the model (grid 16x16, channels 1)"
+            in capsys.readouterr().err)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("broken", ["missing", "corrupt"])
+@pytest.mark.parametrize("flags", [("--resume",), ("--mode", "frozen", "--transform-from")],
+                         ids=["resume", "transform-from"])
+def test_train_on_an_unreadable_checkpoint_writes_nothing(
+        tiny_ini, tmp_path, capsys, monkeypatch, flags, broken):
+    monkeypatch.chdir(tmp_path)  # a command that wrongly runs writes here
+    ckpt = tmp_path / "in" / "c.aotc"
+    ckpt.parent.mkdir()
+    if broken == "corrupt":
+        ckpt.write_bytes(b"junk!!!")
+    assert run("--config", tiny_ini, "--out", tmp_path / "o", "train",
+               *flags, ckpt) == 2
+    assert "error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
 
 
 def test_train_frozen_keeps_the_loaded_transform_bits(tiny_ini, tmp_path):
@@ -444,7 +511,7 @@ def test_rollout_artifacts_and_horizon_one(tiny_ini, trained, corpus,
 
     # the single rolled frame equals a direct forward pass on the window
     cfg = resolve_config(str(tiny_ini), {"seed": 5})
-    model = Model(cfg.model_config(), named_stream(5, STREAM_INIT),
+    model = Model(cfg.model_config(8, 8, 2), named_stream(5, STREAM_INIT),
                   dtype=np.float32)
     from aotlab.train import load_model_state
     load_model_state(model, str(trained / "checkpoint.aotc"))
@@ -537,6 +604,8 @@ TINY_GEN = ("gen-data", "--grid", 8, "--n-train", 1, "--n-test", 1)
     (("train", "warmup_epochs", "99"), TINY_GEN),
     (("data", "n_test", "0"), ("train",)),
     (None, ("train", "--mode", "frozen")),
+    (None, ("train", "--transform-from", "{ckpt}")),
+    (("model", "height", "8"), ("train",)),
     (("train", "peak_lr", "nan"), ("train",)),
     (("train", "noise", "inf"), ("train",)),
     (("train", "weight_decay", "nan"), ("train",)),
@@ -564,7 +633,8 @@ TINY_GEN = ("gen-data", "--grid", 8, "--n-train", 1, "--n-test", 1)
         "threads-negative", "run-section-threads", "grid", "patch-zero",
         "heads-zero", "groups-word", "clip-norm-word", "epochs-zero",
         "epochs-flag-zero", "warmup-past-epochs", "n-test-zero",
-        "frozen-without-source", "peak-lr-nan",
+        "frozen-without-source", "transform-from-without-frozen",
+        "model-height-key", "peak-lr-nan",
         "noise-inf", "weight-decay-nan", "gate-init-nan", "eps-zero",
         "weight-decay-negative", "epochs-flag-word", "grid-flag-fraction",
         "families-none", "families-duplicate", "train-without-manifest",

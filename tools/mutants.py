@@ -50,9 +50,11 @@ gradients uncopied in ``Tape.backward``.  The mutants of ``model.py`` run
 a window of another dtype without casting it to the model's precision,
 and build the mixers without the configured activation.  The mutant of
 ``diagnostics.py`` reads the forward gain through the induced 1-norm
-instead of the infinity norm.  For each mutant the repository is copied
-to a temporary directory, the mutant is applied there, and the suite
-runs::
+instead of the infinity norm.  The mutants of ``cli.py`` skip the check
+that a train and a test corpus share one grid and channel count, and let
+``train`` take ``--transform-from`` without ``--mode frozen``.  For each
+mutant the repository is copied to a temporary directory, the mutant is
+applied there, and the suite runs::
 
     python -m pytest -x -q tests bench/tests --deselect tests/test_acceptance.py
 
@@ -79,6 +81,7 @@ BLOCKS = os.path.join("src", "aotlab", "blocks.py")
 MODEL = os.path.join("src", "aotlab", "model.py")
 DIAGNOSTICS = os.path.join("src", "aotlab", "diagnostics.py")
 TRAIN = os.path.join("src", "aotlab", "train.py")
+CLI = os.path.join("src", "aotlab", "cli.py")
 COMMAND = [sys.executable, "-m", "pytest", "-x", "-q", "tests", "bench/tests",
            "--deselect", "tests/test_acceptance.py"]
 IGNORE = shutil.ignore_patterns(".git", "bench_runs", "__pycache__",
@@ -268,6 +271,11 @@ MUTANTS = {AUTODIFF: [
 ], DIAGNOSTICS: [
     ("gains: forward through the 1-norm",
      "fwd = [gain(t, np.inf) for t in mats]", "fwd = [gain(t, 1) for t in mats]"),
+], CLI: [
+    ("corpus agreement check skipped", "if len(set(shapes)) > 1:", "if False:"),
+    ("transform-from accepted without frozen",
+     '(args.mode == "frozen") != bool(args.transform_from)',
+     'args.mode == "frozen" and not args.transform_from'),
 ]}
 
 
