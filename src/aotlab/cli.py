@@ -8,8 +8,8 @@ numeric blow-up.
 A flag that sets a RunConfig key is named after it (``--steps-per-epoch``
 sets ``[train] steps_per_epoch``), and its text is parsed as file text is.
 A loaded model takes its precision and transform from its checkpoint
-(``train.load_model``), so only train and transform-exp take --dtype, and
-only train takes --mode.
+(``train.load_model``), so only a fresh train (no --resume) and
+transform-exp take --dtype, and only a fresh train takes --mode.
 
 Every command resolves a RunConfig (defaults < config file < flags),
 checks its [train], [data] and [run] values and its flags, and loads and
@@ -30,7 +30,6 @@ import sys
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
 from .config import SECTION_OF, RunConfig, resolve_config, write_config
 from .container import write_lines
 from .data import (
@@ -53,12 +52,12 @@ from .diagnostics import (
     write_probe_features,
 )
 from .errors import FormatError, NumericOverflowError, ShapeError, UsageError
-from .model import TRANSFORM_MODES, Model, ModelConfig
+from .model import TRANSFORM_MODES, ModelConfig
 from .train import (
-    STREAM_INIT,
     cross_transfer,
+    init_model,
     load_model,
-    named_stream,
+    train,
     train_mode_run,
     validate,
     write_cross_transfer_csv,
@@ -110,6 +109,10 @@ def _check_flags(cfg: RunConfig, args: argparse.Namespace) -> None:
     for key in ("threads", "grid", "n_train", "n_test"):
         _check_at_least(key, getattr(cfg, key), 1)
     command = args.command
+    if command == "train" and args.resume is not None and any(
+            v is not None for v in (args.dtype, args.mode, args.transform_from)):
+        raise UsageError("--resume builds the model its checkpoint holds; "
+                         "it takes no --dtype, --mode or --transform-from")
     if command == "train" and (args.mode == "frozen") != bool(args.transform_from):
         raise UsageError("--mode frozen and --transform-from CHECKPOINT go together")
     for flag, low in (("checkpoint_every", 0), ("horizon", 0), ("n_probe", 1)):
@@ -160,15 +163,15 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> None:
     train_ds, plan = load_dataset(cfg.manifest)
     test_ds = load_dataset(cfg.test_manifest)[0] if cfg.test_manifest else None
     model_cfg = _model_config(cfg, train_ds, test_ds)
-    for path in filter(None, (args.resume, args.transform_from)):
-        load_checkpoint(path)  # an unreadable one stops the run before the echo
+    if args.resume is not None:
+        model = load_model(model_cfg, args.resume)
+    else:
+        model = init_model(model_cfg, args.mode or "vanilla", cfg.seed,
+                           _DTYPES[args.dtype or "f32"], args.transform_from)
     _prepare_out(cfg)
-    result, _ = train_mode_run(model_cfg, args.mode, train_ds, plan,
-                               args.train_cfg, dtype=_DTYPES[args.dtype],
-                               transform_from=args.transform_from,
-                               out_dir=cfg.out, test_ds=test_ds,
-                               checkpoint_every=args.checkpoint_every,
-                               resume_from=args.resume)
+    result = train(model, train_ds, plan, args.train_cfg, test_ds=test_ds,
+                   out_dir=cfg.out, checkpoint_every=args.checkpoint_every,
+                   resume_from=args.resume)
     checkpoint = os.path.join(cfg.out, "checkpoint.aotc")
     if not result.metrics:  # the resumed run had already finished
         total = args.train_cfg.epochs * args.train_cfg.steps_per_epoch
@@ -177,8 +180,9 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> None:
                        f"checkpoint (rewritten): {checkpoint}"])
         return
     last = result.metrics[-1]
-    lines = [f"trained {last['step']} steps in mode {args.mode} "
-             f"({args.dtype}); final train loss {last['train_loss']:.6g}"]
+    lines = [f"trained {last['step']} steps in mode {model.transform.mode} "
+             f"(f{8 * np.dtype(model.dtype).itemsize}); "
+             f"final train loss {last['train_loss']:.6g}"]
     for fam in train_ds.families:
         key = f"{fam}_l2re"
         if key in last:
@@ -253,8 +257,7 @@ def cmd_gain(cfg: RunConfig, args: argparse.Namespace) -> None:
         model = load_model(model_cfg, args.checkpoint)
         origin = f"checkpoint {args.checkpoint}"
     else:
-        model = Model(model_cfg, named_stream(cfg.seed, STREAM_INIT),
-                      dtype=np.float32)
+        model = init_model(model_cfg, "vanilla", cfg.seed, np.float32)
         origin = f"fresh initialization (seed {cfg.seed})"
     _prepare_out(cfg)
     n = min(args.n_probe, len(ds))
@@ -296,7 +299,7 @@ def cmd_transform_exp(cfg: RunConfig, args: argparse.Namespace) -> None:
                              f"present: {', '.join(ds.families)}")
     mcfg, tcfg = _model_config(cfg, ds), args.train_cfg
     _prepare_out(cfg)
-    dtype = _DTYPES[args.dtype]
+    dtype = _DTYPES[args.dtype or "f32"]
     primary = names[0]
     sub = family_subset(ds, primary)
     plan = SamplingPlan({primary: 1.0})
@@ -347,8 +350,8 @@ def _add_model_flags(p: argparse.ArgumentParser, checkpoint: bool = False) -> No
     if checkpoint:
         p.add_argument("--checkpoint", help="model checkpoint to load")
     else:
-        p.add_argument("--dtype", choices=sorted(_DTYPES), default="f32",
-                       help="model arithmetic precision")
+        p.add_argument("--dtype", choices=sorted(_DTYPES),
+                       help="model arithmetic precision (default f32)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,11 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a manifest")
     _add_model_flags(p)
     _add_settings(p, "epochs", "steps_per_epoch", "batch", "peak_lr", "noise")
-    p.add_argument("--mode", choices=TRANSFORM_MODES, default="vanilla",
-                   help="pointwise transform mode")
+    p.add_argument("--mode", choices=TRANSFORM_MODES,
+                   help="pointwise transform mode (default vanilla)")
     p.add_argument("--transform-from", dest="transform_from",
                    help="checkpoint supplying frozen transform tensors")
-    p.add_argument("--resume", help="checkpoint to resume from")
+    p.add_argument("--resume", help="checkpoint to resume, with the model it holds")
     p.add_argument("--checkpoint-every", dest="checkpoint_every",
                    type=int, default=10, help="epochs between checkpoints")
 

@@ -314,11 +314,13 @@ def load_model_state(model, path: str) -> int:
 
 
 def load_model(model_cfg: ModelConfig, path: str) -> Model:
-    """The model a checkpoint holds, at the one dtype of its tensors.  Its
-    transform is bypassed (vanilla) when the checkpoint holds the identity
-    pair, and applied without gradients (frozen) otherwise."""
+    """The model a checkpoint holds, at the one dtype of its tensors, in
+    the transform mode of the run that wrote it: learned when its optimizer
+    blocks hold the transform's moments, vanilla when it holds the identity
+    pair a fresh model starts from, and frozen otherwise."""
     ckpt = load_checkpoint(path)
-    mode = ("vanilla" if _holds_identity_transform(ckpt.tensors, model_cfg.channels)
+    mode = ("learned" if "transform.w_in.m" in ckpt.opt_tensors
+            else "vanilla" if _holds_identity_transform(ckpt.tensors, model_cfg.channels)
             else "frozen")
     # every tensor is overwritten, so the init stream does not matter
     model = Model(model_cfg, named_stream(0, STREAM_INIT),
@@ -512,25 +514,32 @@ def train(model, train_ds: TrajectoryDataset, plan: SamplingPlan,
 # motivated-experiment protocol
 # ---------------------------------------------------------------------
 
+def init_model(model_cfg: ModelConfig, mode: str, seed: int, dtype,
+               transform_from: str | None = None) -> Model:
+    """A fresh model from ``seed``'s init stream in one of three transform modes.
+
+    vanilla: the pointwise pair is bypassed and untrained.  learned: applied
+    and trained jointly.  frozen: applied, loaded from ``transform_from``,
+    and gradient-suppressed while the re-initialized backbone trains.
+    """
+    if mode == "frozen" and transform_from is None:
+        raise ValueError("frozen mode needs a transform_from checkpoint")
+    model = Model(model_cfg, named_stream(seed, STREAM_INIT), dtype=dtype,
+                  transform_mode=mode)
+    if mode == "frozen":
+        load_transform(model, transform_from)
+    return model
+
+
 def train_mode_run(model_cfg: ModelConfig, mode: str,
                    train_ds: TrajectoryDataset, plan: SamplingPlan,
                    cfg: TrainConfig, dtype=np.float64,
                    transform_from: str | None = None,
                    out_dir: str | None = None, **train_kwargs):
-    """Train a freshly initialized model in one of the three transform modes.
-
-    vanilla: the pointwise pair is bypassed and untrained.  learned: applied
-    and trained jointly.  frozen: applied, loaded from ``transform_from``,
-    and gradient-suppressed while the re-initialized backbone trains.
+    """Train ``init_model(model_cfg, mode, cfg.seed, dtype, transform_from)``;
     ``train_kwargs`` (``test_ds``, ``checkpoint_every``, ``resume_from``)
-    pass on to ``train``.  Returns (TrainResult, model).
-    """
-    if mode == "frozen" and transform_from is None:
-        raise ValueError("frozen mode needs a transform_from checkpoint")
-    init_rng = named_stream(cfg.seed, STREAM_INIT)
-    model = Model(model_cfg, init_rng, dtype=dtype, transform_mode=mode)
-    if mode == "frozen":
-        load_transform(model, transform_from)
+    pass on to ``train``.  Returns (TrainResult, model)."""
+    model = init_model(model_cfg, mode, cfg.seed, dtype, transform_from)
     result = train(model, train_ds, plan, cfg, out_dir=out_dir, **train_kwargs)
     return result, model
 

@@ -78,7 +78,8 @@ def trained(tmp_path_factory, tiny_ini):
 @pytest.fixture(scope="module")
 def mode_run(tmp_path_factory, tiny_ini):
     """The output directory of a tiny train run at a dtype and mode, trained
-    on first use; a frozen run takes the learned run's transform."""
+    on first use, with a checkpoint after every epoch; a frozen run takes
+    the learned run's transform."""
     runs = {}
 
     def get(dtype, mode):
@@ -87,7 +88,8 @@ def mode_run(tmp_path_factory, tiny_ini):
                       if mode == "frozen" else ())
             out = tmp_path_factory.mktemp(f"{dtype}-{mode}")
             assert run("--config", tiny_ini, "--seed", 4, "--out", out, "train",
-                       "--dtype", dtype, "--mode", mode, *source) == 0
+                       "--dtype", dtype, "--mode", mode, *source,
+                       "--checkpoint-every", 1) == 0
             runs[dtype, mode] = out
         return runs[dtype, mode]
     return get
@@ -343,6 +345,18 @@ def test_train_on_an_unreadable_checkpoint_writes_nothing(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
 
 
+def test_resume_of_another_configuration_writes_nothing(tiny_ini, trained, tmp_path,
+                                                        capsys, monkeypatch):
+    """The resume checkpoint is loaded into the run's model before the echo,
+    so one written for other [model] values stops the run first."""
+    monkeypatch.chdir(tmp_path)  # a command that wrongly runs writes here
+    other = write_ini(tiny_ini, tmp_path / "other.ini", "model", "blocks", "2")
+    assert run("--config", other, "--out", tmp_path / "o", "train",
+               "--resume", trained / "checkpoint.aotc") == 2
+    assert "config hash does not match" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["other.ini"]
+
+
 def test_train_frozen_keeps_the_loaded_transform_bits(tiny_ini, tmp_path):
     short = ("--epochs", 2, "--steps-per-epoch", 2)
     assert run("--config", tiny_ini, "--out", tmp_path / "learned", "train",
@@ -402,24 +416,22 @@ def test_eval_follows_the_checkpoint_precision_and_transform(
     assert len(rows) == 3
 
 
-@pytest.mark.parametrize("resumed_as,flags,message", [
-    (("f32", "learned"), ("--mode", "vanilla"),
-     "transform is not the identity pair, which a vanilla model bypasses"),
-    (("f32", "learned"), ("--mode", "frozen", "--transform-from", "{ckpt}"),
-     "optimizer blocks name no parameter: ['transform.b_in.m'"),
-    (("f64", "vanilla"), ("--dtype", "f32"),
-     "checkpoint tensors are float64, the model is float32"),
-], ids=["learned-as-vanilla", "learned-as-frozen", "f64-at-f32"])
-def test_resume_that_disagrees_with_its_checkpoint_is_refused(
-        tiny_ini, mode_run, tmp_path, capsys, resumed_as, flags, message):
-    """A resume in another mode or at another dtype than its checkpoint's
-    would continue off the unbroken run's trace, so it is refused."""
-    ckpt = mode_run(*resumed_as) / "checkpoint.aotc"
-    code = run("--config", tiny_ini, "--seed", 4, "--out", tmp_path / "o",
-               "train", "--resume", ckpt, "--epochs", 3, "--dtype", resumed_as[0],
-               *[str(f).format(ckpt=ckpt) for f in flags])
-    assert code == 2
-    assert message in capsys.readouterr().err
+@pytest.mark.parametrize("mode", ["vanilla", "learned", "frozen"])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_resume_takes_the_run_from_its_checkpoint(tiny_ini, mode_run, tmp_path,
+                                                  dtype, mode):
+    """A resume with no model flag builds the model its checkpoint holds,
+    so it finishes the unbroken run bit for bit, whatever its dtype and
+    mode."""
+    unbroken = mode_run(dtype, mode)
+    out = tmp_path / "resumed"
+    assert run("--config", tiny_ini, "--seed", 4, "--out", out, "train",
+               "--resume", unbroken / "checkpoint_0000.aotc") == 0
+    assert ((out / "checkpoint.aotc").read_bytes()
+            == (unbroken / "checkpoint.aotc").read_bytes())
+    rows = (unbroken / "metrics.csv").read_text().strip().split("\n")
+    assert (out / "metrics.csv").read_text().strip().split("\n") == [rows[0], rows[2]]
+    assert f"in mode {mode} ({dtype})" in (out / "summary.txt").read_text()
 
 
 @pytest.mark.parametrize("argv", [
@@ -605,6 +617,10 @@ TINY_GEN = ("gen-data", "--grid", 8, "--n-train", 1, "--n-test", 1)
     (("data", "n_test", "0"), ("train",)),
     (None, ("train", "--mode", "frozen")),
     (None, ("train", "--transform-from", "{ckpt}")),
+    (None, ("train", "--resume", "{ckpt}", "--dtype", "f32")),
+    (None, ("train", "--resume", "{ckpt}", "--mode", "vanilla")),
+    (None, ("train", "--resume", "{ckpt}", "--mode", "frozen",
+            "--transform-from", "{ckpt}")),
     (("model", "height", "8"), ("train",)),
     (("train", "peak_lr", "nan"), ("train",)),
     (("train", "noise", "inf"), ("train",)),
@@ -634,6 +650,7 @@ TINY_GEN = ("gen-data", "--grid", 8, "--n-train", 1, "--n-test", 1)
         "heads-zero", "groups-word", "clip-norm-word", "epochs-zero",
         "epochs-flag-zero", "warmup-past-epochs", "n-test-zero",
         "frozen-without-source", "transform-from-without-frozen",
+        "resume-with-dtype", "resume-with-mode", "resume-with-frozen-source",
         "model-height-key", "peak-lr-nan",
         "noise-inf", "weight-decay-nan", "gate-init-nan", "eps-zero",
         "weight-decay-negative", "epochs-flag-word", "grid-flag-fraction",

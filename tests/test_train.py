@@ -704,12 +704,13 @@ def test_model_loaders_name_the_bad_tensor(tmp_path, load, edit, match):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("mode,loaded_as", [("vanilla", "vanilla"),
-                                            ("learned", "frozen")])
+                                            ("learned", "learned")])
 def test_load_model_follows_the_checkpoint(tmp_path, heat_corpus, dtype, mode,
                                            loaded_as):
     """``load_model`` builds the model at the checkpoint's dtype, bypasses
-    an identity transform and applies a trained one, so it predicts what
-    the trained model predicts, bit for bit."""
+    an identity transform and keeps a learned one trainable, so it trains
+    the same tensors and predicts what the trained model predicts, bit for
+    bit."""
     train_ds, test_ds, plan = heat_corpus
     cfg = TrainConfig(epochs=1, steps_per_epoch=4, batch=2, warmup_epochs=0,
                       seed=3)
@@ -717,8 +718,7 @@ def test_load_model_follows_the_checkpoint(tmp_path, heat_corpus, dtype, mode,
     res = train(trained, train_ds, plan, cfg, out_dir=str(tmp_path))
     model = load_model(tiny_cfg(), res.checkpoint_path)
     assert model.dtype == dtype and model.transform.mode == loaded_as
-    assert not any(t.requires_grad for k, t in model.named().items()
-                   if k.startswith("transform."))
+    assert model.trainable_tensors().keys() == trained.trainable_tensors().keys()
     for k, t in trained.named().items():
         assert model.named()[k].data.dtype == dtype
         np.testing.assert_array_equal(model.named()[k].data, t.data)

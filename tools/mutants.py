@@ -45,14 +45,16 @@ instead of filling them, a clip-norm sum one element short, a None
 gradient counted in the norm as ones, and loaded optimizer blocks that
 name no parameter accepted; and they break ``load_model``, which builds
 the model a checkpoint holds: one ignores the checkpoint's precision, one
-applies an identity transform that a vanilla checkpoint bypasses.  One more in ``autodiff.py`` keeps strided
+applies an identity transform that a vanilla checkpoint bypasses, one
+freezes the transform of a learned checkpoint.  One more in ``autodiff.py`` keeps strided
 gradients uncopied in ``Tape.backward``.  The mutants of ``model.py`` run
 a window of another dtype without casting it to the model's precision,
 and build the mixers without the configured activation.  The mutant of
 ``diagnostics.py`` reads the forward gain through the induced 1-norm
 instead of the infinity norm.  The mutants of ``cli.py`` skip the check
 that a train and a test corpus share one grid and channel count, and let
-``train`` take ``--transform-from`` without ``--mode frozen``.  For each
+``train`` take ``--transform-from`` without ``--mode frozen``, or
+``--dtype`` with ``--resume``.  For each
 mutant the repository is copied to a temporary directory, the mutant is
 applied there, and the suite runs::
 
@@ -258,8 +260,10 @@ MUTANTS = {AUTODIFF: [
      "            raise FormatError(f\"optimizer blocks name no parameter"),
     ("load_model: precision ignored", "dtype=_one_dtype(ckpt.tensors).type, ", ""),
     ("load_model: identity transform taken as active",
-     '("vanilla" if _holds_identity_transform(ckpt.tensors, model_cfg.channels)',
-     '("frozen" if _holds_identity_transform(ckpt.tensors, model_cfg.channels)'),
+     'else "vanilla" if _holds_identity_transform(', 'else "frozen" if _holds_identity_transform('),
+    ("load_model: learned checkpoint taken as frozen",
+     '("learned" if "transform.w_in.m" in ckpt.opt_tensors',
+     '("frozen" if "transform.w_in.m" in ckpt.opt_tensors'),
 ], MODEL: [
     ("Model: window not cast to the model's dtype",
      "Tensor(u.data if isinstance(u, Tensor) else u, dtype=self.dtype)",
@@ -276,6 +280,8 @@ MUTANTS = {AUTODIFF: [
     ("transform-from accepted without frozen",
      '(args.mode == "frozen") != bool(args.transform_from)',
      'args.mode == "frozen" and not args.transform_from'),
+    ("train: --resume accepts --dtype",
+     "(args.dtype, args.mode, args.transform_from)", "(args.mode, args.transform_from)"),
 ]}
 
 
