@@ -287,18 +287,21 @@ def div(a, b) -> Tensor:
 # ---------------------------------------------------------------------
 
 def _unary(a: Tensor, value: np.ndarray, deriv) -> Tensor:
-    return node(value, lambda g, acc: acc(a, g * deriv), a)
+    """Record ``value``, an elementwise function of ``a``.  ``deriv()``
+    returns its derivative at ``a``; only the backward calls it, so a
+    forward with no tape never computes it."""
+    return node(value, lambda g, acc: acc(a, g * deriv()), a)
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return _unary(a, -a.data, -1)
+    return _unary(a, -a.data, lambda: -1)
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     value = np.exp(a.data)
-    return _unary(a, value, value)
+    return _unary(a, value, lambda: value)
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
@@ -314,24 +317,26 @@ def logistic(x: np.ndarray) -> np.ndarray:
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     value = logistic(a.data)
-    return _unary(a, value, value * (1.0 - value))
+    return _unary(a, value, lambda: value * (1.0 - value))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    value = np.maximum(a.data, 0.0)
-    return _unary(a, value, (a.data > 0).astype(a.data.dtype))
+    x = a.data
+    return _unary(a, np.maximum(x, 0.0), lambda: (x > 0).astype(x.dtype))
 
 
 def rsqrt(a) -> Tensor:
     a = as_tensor(a)
-    value = 1.0 / np.sqrt(a.data)
-    return _unary(a, value, -0.5 * value / a.data)
+    x = a.data
+    value = 1.0 / np.sqrt(x)
+    return _unary(a, value, lambda: -0.5 * value / x)
 
 
 def cos(a) -> Tensor:
     a = as_tensor(a)
-    return _unary(a, np.cos(a.data), -np.sin(a.data))
+    x = a.data
+    return _unary(a, np.cos(x), lambda: -np.sin(x))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -344,8 +349,8 @@ def gelu(a) -> Tensor:
     inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     value = 0.5 * x * (1.0 + t)
-    deriv = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-    return _unary(a, value, deriv)
+    return _unary(a, value, lambda: 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t)
+                  * _GELU_C * (1.0 + 3 * 0.044715 * (x * x)))
 
 
 # ---------------------------------------------------------------------

@@ -57,6 +57,7 @@ from .train import (
     cross_transfer,
     init_model,
     load_model,
+    load_resumable_model,
     train,
     train_mode_run,
     validate,
@@ -164,7 +165,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> None:
     test_ds = load_dataset(cfg.test_manifest)[0] if cfg.test_manifest else None
     model_cfg = _model_config(cfg, train_ds, test_ds)
     if args.resume is not None:
-        model = load_model(model_cfg, args.resume)
+        model = load_resumable_model(model_cfg, args.resume)
     else:
         model = init_model(model_cfg, args.mode or "vanilla", cfg.seed,
                            _DTYPES[args.dtype or "f32"], args.transform_from)

@@ -318,7 +318,23 @@ def load_model(model_cfg: ModelConfig, path: str) -> Model:
     the transform mode of the run that wrote it: learned when its optimizer
     blocks hold the transform's moments, vanilla when it holds the identity
     pair a fresh model starts from, and frozen otherwise."""
+    return _model_from(model_cfg, load_checkpoint(path))
+
+
+def load_resumable_model(model_cfg: ModelConfig, path: str) -> Model:
+    """``load_model``, with the rest of what ``train(..., resume_from=path)``
+    restores checked too: the optimizer blocks and the ``data`` and
+    ``noise`` rng states.  A checkpoint that lacks one, or holds a bad one,
+    is refused here, before a run writes anything."""
     ckpt = load_checkpoint(path)
+    model = _model_from(model_cfg, ckpt)
+    # a throwaway optimizer and streams: train() restores its own
+    _restore(ckpt, model, AdamW(model.trainable_tensors()),
+             named_stream(0, STREAM_DATA), named_stream(0, STREAM_NOISE))
+    return model
+
+
+def _model_from(model_cfg: ModelConfig, ckpt) -> Model:
     mode = ("learned" if "transform.w_in.m" in ckpt.opt_tensors
             else "vanilla" if _holds_identity_transform(ckpt.tensors, model_cfg.channels)
             else "frozen")
@@ -333,7 +349,10 @@ def restore_training_checkpoint(path: str, model, opt: AdamW,
                                 data_rng, noise_rng) -> int:
     """Load parameters, moments, and rng streams; returns the saved step.
     A checkpoint of another dtype than the model's is refused, not cast."""
-    ckpt = load_checkpoint(path)
+    return _restore(load_checkpoint(path), model, opt, data_rng, noise_rng)
+
+
+def _restore(ckpt, model, opt: AdamW, data_rng, noise_rng) -> int:
     dtype = _one_dtype({**ckpt.tensors, **ckpt.opt_tensors})
     if dtype != model.dtype:
         raise FormatError(f"checkpoint tensors are {dtype}, "

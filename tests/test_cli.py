@@ -484,6 +484,25 @@ def test_resume_with_incomplete_rng_state_exits_two(tiny_ini, trained, tmp_path,
     assert f"rng state lacks {missing!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("broken", ["no-noise-rng", "no-optimizer"])
+def test_resume_with_a_bad_training_state_writes_nothing(tiny_ini, mode_run, tmp_path,
+                                                         capsys, monkeypatch, broken):
+    """A resume checkpoint whose model loads but whose optimizer blocks or
+    rng state do not is refused before the echo."""
+    monkeypatch.chdir(tmp_path)  # a command that wrongly runs writes here
+    ck = load_checkpoint(str(mode_run("f32", "vanilla") / "checkpoint_0000.aotc"))
+    bad = tmp_path / "bad.aotc"
+    if broken == "no-noise-rng":
+        opt, rng, message = ck.opt_tensors, {"data": ck.rng_state["data"]}, "rng state lacks 'noise'"
+    else:
+        opt, rng, message = {}, ck.rng_state, "lacks optimizer block"
+    save_checkpoint(str(bad), ck.config_hash, ck.step, ck.tensors, opt, rng)
+    assert run("--config", tiny_ini, "--seed", 5, "--out", tmp_path / "o", "train",
+               "--resume", bad) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.aotc"]
+
+
 def test_resume_from_finished_run_reports_no_step_left(tiny_ini, trained, tmp_path,
                                                        capsys):
     done = trained / "checkpoint.aotc"

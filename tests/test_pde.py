@@ -5,6 +5,9 @@ import pytest
 
 from aotlab.errors import NumericOverflowError, ShapeError
 from aotlab.solvers import (
+    BLOWUP_LIMIT,
+    _check_blowup,
+    _dealias_mask,
     dr_ic,
     fno_forcing,
     grf_ic,
@@ -17,6 +20,10 @@ from aotlab.solvers import (
 def grid_xy(n):
     c = np.arange(n) / n
     return np.meshgrid(c, c, indexing="ij")  # (y, x) row-major
+
+
+# grids whose extents are not powers of two
+ODD_GRIDS = [(24, 24), (12, 16), (20, 30), (31, 31)]
 
 
 # ---------------------------------------------------------------------
@@ -343,9 +350,8 @@ def test_ns_batch_blowup_names_the_row():
     assert err.value.where == "step 0"
 
 
-@pytest.mark.parametrize("batch", [1, 3])
-def test_ns_step_makes_three_transforms_per_batch(batch, monkeypatch):
-    ics = _batch_ics("ns_vorticity", n=batch)
+def count_transforms(monkeypatch) -> dict:
+    """Count the np.fft.fft2 and np.fft.ifft2 calls made from now on."""
     calls = {"fft2": 0, "ifft2": 0}
     for name in calls:
         orig = getattr(np.fft, name)
@@ -355,20 +361,122 @@ def test_ns_step_makes_three_transforms_per_batch(batch, monkeypatch):
             return _orig(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_ns_transforms_per_batch(batch, monkeypatch):
+    ics = _batch_ics("ns_vorticity", n=batch)
+    calls = count_transforms(monkeypatch)
+    steps, stride = 14, 7
+    solve_ns_vorticity(ics, 1e-3, None, 1e-3, steps, stride=stride)
+    # one forward transform of the initial condition, then per step the
+    # four derivative fields in one inverse and the advection term
+    # forward; only a step that saves a frame inverts the new vorticity
+    assert calls == {"fft2": 1 + steps, "ifft2": steps + steps // stride}
+
+
+def test_ns_bound_past_half_the_limit_inverts_every_step(monkeypatch):
+    # a shear mode is stationary at nu = 0; at 8e5 its bound, which for a
+    # single mode is its amplitude, is not below half of BLOWUP_LIMIT, so
+    # every step is checked exactly, and none blows up
+    y, _ = grid_xy(16)
+    ic = 8e5 * np.sin(2 * np.pi * y)
+    ic -= ic.mean()
+    calls = count_transforms(monkeypatch)
     steps = 7
-    solve_ns_vorticity(ics, 1e-3, None, 1e-3, steps, stride=7)
-    # one forward transform of the initial condition, then per step: the
-    # four derivative fields in one inverse, the advection term forward,
-    # and the new vorticity inverse
+    traj = solve_ns_vorticity(ic, 0.0, None, 1e-3, steps, stride=7)
     assert calls == {"fft2": 1 + steps, "ifft2": 2 * steps}
+    assert np.abs(traj).max() < BLOWUP_LIMIT
+
+
+def ns_reference(ic, nu, forcing, dt, steps, stride=1):
+    """The batched NS solve with an exact blow-up check on every step,
+    which inverts each new vorticity: the oracle of the bounded check."""
+    n, h, w = ic.shape
+    frames = np.empty((n, steps // stride, h, w))
+    ky = 2 * np.pi * np.fft.fftfreq(h, d=1.0 / h)[:, None]
+    kx = 2 * np.pi * np.fft.fftfreq(w, d=1.0 / w)[None, :]
+    k2 = ky ** 2 + kx ** 2
+    dc = k2 == 0
+    k2_safe = np.where(dc, 1.0, k2)
+    d_y, minus_d_x, d_x = 1j * ky, -1j * kx, 1j * kx
+    dealias = _dealias_mask(h, w)
+    f_hat = 0.0 if forcing is None else np.fft.fft2(np.asarray(forcing, dtype=np.float64))
+    grads_hat = np.empty((n, 4, h, w), dtype=np.complex128)
+
+    def advection_hat(w_hat):
+        psi_hat = w_hat / k2_safe
+        psi_hat[:, dc] = 0.0
+        np.multiply(d_y, psi_hat, out=grads_hat[:, 0])
+        np.multiply(minus_d_x, psi_hat, out=grads_hat[:, 1])
+        np.multiply(d_x, w_hat, out=grads_hat[:, 2])
+        np.multiply(d_y, w_hat, out=grads_hat[:, 3])
+        u, v, wx, wy = np.fft.ifft2(grads_hat).real.swapaxes(0, 1)
+        n_hat = np.fft.fft2(u * wx + v * wy) * dealias
+        n_hat[:, 0, 0] = 0.0
+        return n_hat
+
+    cn_minus = 1.0 - 0.5 * nu * dt * k2
+    cn_plus = 1.0 + 0.5 * nu * dt * k2
+    w_hat = np.fft.fft2(ic)
+    n_prev = None
+    for s in range(steps):
+        n_curr = advection_hat(w_hat)
+        if n_prev is None:
+            n_eff = n_curr
+        else:
+            n_eff = 1.5 * n_curr - 0.5 * n_prev
+        w_hat = (cn_minus * w_hat + dt * (-n_eff + f_hat)) / cn_plus
+        n_prev = n_curr
+        frame = np.fft.ifft2(w_hat).real
+        _check_blowup(s, "navier-stokes", frame)
+        if (s + 1) % stride == 0:
+            frames[:, s // stride] = frame
+    return frames
+
+
+@pytest.mark.parametrize("h, w", [(16, 16)] + ODD_GRIDS)
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "fno"])
+@pytest.mark.parametrize("nu", [0.0, 1e-3])
+@pytest.mark.parametrize("stride", [1, 7, 50])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_ns_matches_the_step_that_inverts_every_frame(batch, stride, nu, forced, h, w):
+    rng = np.random.default_rng(12)
+    ics = np.stack([grf_ic(h, w, rng) for _ in range(batch)])
+    forcing = fno_forcing(h, w) if forced else None
+    got = solve_ns_vorticity(ics, nu, forcing, 1e-3, 50, stride=stride)
+    assert np.array_equal(got, ns_reference(ics, nu, forcing, 1e-3, 50, stride))
+
+
+def blowup_of(solve) -> NumericOverflowError:
+    with pytest.raises(NumericOverflowError) as err:
+        solve()
+    return err.value
+
+
+def test_ns_blowup_on_a_step_that_saves_no_frame_matches_the_oracle():
+    # at nu = 0 and dt = 0.1 only row 2, scaled 30-fold, blows up: at step
+    # 3, which with stride 7 saves no frame
+    ics = _batch_ics("ns_vorticity", n=4)
+    ics[2] *= 30
+    args = (ics, 0.0, None, 0.1, 14)
+    got = blowup_of(lambda: solve_ns_vorticity(*args, stride=7))
+    want = blowup_of(lambda: ns_reference(*args, stride=7))
+    assert (got.where, got.row) == (want.where, want.row) == ("step 3", 2)
+    assert str(got) == str(want)
+
+
+def test_ns_nan_in_one_row_raises_at_step_zero_naming_it():
+    ics = _batch_ics("ns_vorticity", n=4)
+    ics[2, 5, 7] = np.nan
+    err = blowup_of(lambda: solve_ns_vorticity(ics, 1e-3, None, 1e-3, 14, stride=7))
+    assert (err.where, err.row) == ("step 0", 2)
 
 
 # ---------------------------------------------------------------------
 # grids whose extents are not powers of two
 # ---------------------------------------------------------------------
-
-ODD_GRIDS = [(24, 24), (12, 16), (20, 30), (31, 31)]
-
 
 @pytest.mark.parametrize("h, w", ODD_GRIDS)
 def test_heat_single_mode_closed_form_on_any_grid(h, w):

@@ -344,6 +344,18 @@ def test_no_tape_records_nothing():
     assert len(tape) == 0 and x.grad is None
 
 
+def test_untaped_unary_computes_no_derivative(monkeypatch):
+    # the derivative of cos is -sin, which only a backward needs
+    x = Tensor(np.linspace(-1.0, 1.0, 5), requires_grad=True)
+    want = np.cos(x.data)
+
+    def derivative_computed(*args, **kwargs):
+        raise AssertionError("np.sin called by an untaped cos")
+
+    monkeypatch.setattr(np, "sin", derivative_computed)
+    assert np.array_equal(ad.cos(x).data, want)
+
+
 def test_backward_requires_scalar_root():
     x = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:

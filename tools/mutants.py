@@ -52,9 +52,14 @@ a window of another dtype without casting it to the model's precision,
 and build the mixers without the configured activation.  The mutant of
 ``diagnostics.py`` reads the forward gain through the induced 1-norm
 instead of the infinity norm.  The mutants of ``cli.py`` skip the check
-that a train and a test corpus share one grid and channel count, and let
+that a train and a test corpus share one grid and channel count, let
 ``train`` take ``--transform-from`` without ``--mode frozen``, or
-``--dtype`` with ``--resume``.  For each
+``--dtype`` with ``--resume``, and load a resume checkpoint without its
+optimizer blocks and rng state, so that a bad one is found only after
+the echo.  The mutants of ``solvers.py`` break the NS-vorticity check
+for blow-up on the spectrum: one skips it on the steps that save no
+frame, one compares the bound so that a NaN passes, and one inverts and
+checks every step exactly, which only the transform count notices.  For each
 mutant the repository is copied to a temporary directory, the mutant is
 applied there, and the suite runs::
 
@@ -84,6 +89,7 @@ MODEL = os.path.join("src", "aotlab", "model.py")
 DIAGNOSTICS = os.path.join("src", "aotlab", "diagnostics.py")
 TRAIN = os.path.join("src", "aotlab", "train.py")
 CLI = os.path.join("src", "aotlab", "cli.py")
+SOLVERS = os.path.join("src", "aotlab", "solvers.py")
 COMMAND = [sys.executable, "-m", "pytest", "-x", "-q", "tests", "bench/tests",
            "--deselect", "tests/test_acceptance.py"]
 IGNORE = shutil.ignore_patterns(".git", "bench_runs", "__pycache__",
@@ -110,14 +116,12 @@ MUTANTS = {AUTODIFF: [
      "(g / bd, -g * bd / (ad * ad))"),
     ("div: grad b sign", "(g / bd, -g * ad / (bd * bd))",
      "(g / bd, g * ad / (bd * bd))"),
-    ("neg: grad sign", "_unary(a, -a.data, -1)", "_unary(a, -a.data, 1)"),
-    ("exp: grad sign", "_unary(a, value, value)", "_unary(a, value, -value)"),
+    ("neg: grad sign", "_unary(a, -a.data, lambda: -1)", "_unary(a, -a.data, lambda: 1)"),
+    ("exp: grad sign", "_unary(a, value, lambda: value)", "_unary(a, value, lambda: -value)"),
     ("sigmoid: grad sign", "value * (1.0 - value)", "-value * (1.0 - value)"),
-    ("relu: grad sign", "(a.data > 0).astype(a.data.dtype)",
-     "-(a.data > 0).astype(a.data.dtype)"),
-    ("rsqrt: grad sign", "-0.5 * value / a.data", "0.5 * value / a.data"),
-    ("cos: grad sign", "np.cos(a.data), -np.sin(a.data)",
-     "np.cos(a.data), np.sin(a.data)"),
+    ("relu: grad sign", "(x > 0).astype(x.dtype)", "-(x > 0).astype(x.dtype)"),
+    ("rsqrt: grad sign", "-0.5 * value / x", "0.5 * value / x"),
+    ("cos: grad sign", "np.cos(x), lambda: -np.sin(x)", "np.cos(x), lambda: np.sin(x)"),
     ("gelu: grad drops the cubic term", "(1.0 + 3 * 0.044715 * (x * x))", "1.0"),
     ("matmul: grad a untransposed", "acc(a, g @ bd.swapaxes(-1, -2))",
      "acc(a, g @ bd)"),
@@ -282,6 +286,18 @@ MUTANTS = {AUTODIFF: [
      'args.mode == "frozen" and not args.transform_from'),
     ("train: --resume accepts --dtype",
      "(args.dtype, args.mode, args.transform_from)", "(args.mode, args.transform_from)"),
+    ("train: resume optimizer and rng state checked after the echo",
+     "model = load_resumable_model(model_cfg, args.resume)",
+     "model = load_model(model_cfg, args.resume)"),
+], SOLVERS: [
+    ("NS: no blow-up check on a step that saves no frame",
+     "if save or not np.abs(w_hat.view(np.float64)).sum() / (h * w) < 0.5 * BLOWUP_LIMIT:",
+     "if save:"),
+    ("NS: bound compared so that NaN passes",
+     "not np.abs(w_hat.view(np.float64)).sum() / (h * w) < 0.5 * BLOWUP_LIMIT",
+     "np.abs(w_hat.view(np.float64)).sum() / (h * w) >= 0.5 * BLOWUP_LIMIT"),
+    ("NS: every step inverted and checked exactly",
+     "if save or not np.abs(", "if True or not np.abs("),
 ]}
 
 
